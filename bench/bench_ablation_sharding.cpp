@@ -79,9 +79,9 @@ Point run_point(const pass::SyscallTrace& trace, const std::string& program,
   p.sqs_send_rts = snap.calls("sqs", "SendMessage") +
                    snap.calls("sqs", "SendMessageBatch");
   p.total_calls = snap.total_calls();
-  ShardRouter router(shards);
+  const auto topology = run.backend->topology();
   std::uint64_t domain_calls_total = 0;
-  for (const std::string& domain : router.domains()) {
+  for (const std::string& domain : topology->domains()) {
     p.peak_domain_items =
         std::max(p.peak_domain_items, run.services.sdb.item_count(domain));
     const std::uint64_t calls = snap.detail_calls("sdb", domain);
@@ -92,9 +92,7 @@ Point run_point(const pass::SyscallTrace& trace, const std::string& program,
     p.domain_hotness = static_cast<double>(p.peak_domain_calls) *
                        static_cast<double>(shards) /
                        static_cast<double>(domain_calls_total);
-  auto engine = make_sdb_query_engine(
-      run.services,
-      SdbQueryConfig{.shard_count = shards, .parallelism = parallelism});
+  auto engine = make_sdb_query_engine(run.services, topology);
   p.query_ms = bench::wall_clock_ms([&] {
     p.q2 = engine->q2_outputs_of(program);
     p.q3 = engine->q3_descendants_of(program);

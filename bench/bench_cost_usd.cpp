@@ -55,9 +55,7 @@ ElapsedPoint run_elapsed_point(Architecture arch,
   p.parallelism = parallelism;
   run.run(trace);
   p.store_elapsed = run.env.elapsed_time();
-  auto engine = make_sdb_query_engine(
-      run.services,
-      SdbQueryConfig{.shard_count = shards, .parallelism = parallelism});
+  auto engine = make_sdb_query_engine(run.services, run.backend->topology());
   engine->q2_outputs_of(workloads::BlastWorkload::kBlastProgram);
   engine->q3_descendants_of(workloads::BlastWorkload::kBlastProgram);
   p.query_elapsed = run.env.elapsed_time() - p.store_elapsed;

@@ -56,7 +56,7 @@ struct RunResult {
 RunResult replay(bench::WorkloadRun& run, const std::vector<std::string>& pattern,
                  PrefetchConfig config,
                  std::shared_ptr<manifest::AncestorCache> ancestors = nullptr) {
-  ProvenanceCache cache(run.services, config);
+  ProvenanceCache cache(run.services, config, run.backend->topology());
   if (ancestors != nullptr) cache.attach_ancestor_cache(std::move(ancestors));
   const auto before = run.env.meter().snapshot();
   for (const std::string& object : pattern) cache.read(object);
@@ -132,8 +132,7 @@ int main() {
   // hint miner wants. Sharing the walk's AncestorCache lets the prefetcher
   // skip its per-item GetAttributes reads entirely.
   bench::print_header("Hints + shared AncestorCache (walk-warmed)");
-  auto topology = DomainTopology::make(
-      TopologyConfig{.ledger = &run.env.latency_ledger()});
+  const auto topology = run.backend->topology();
   manifest::ManifestWriter writer(run.services, topology);
   const auto rolled = writer.roll();
   PROVCLOUD_REQUIRE_MSG(rolled.has_value(), "snapshot roll failed");

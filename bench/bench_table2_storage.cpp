@@ -230,10 +230,9 @@ int main() {
   // -- the sustained-overwrite shape the cleaner exists for.
   lsb_run.run(trace);
   const LsbBackend::SegmentStats before = lsb->stats();
-  // compact() picks victims by garbage ratio (CleanerPolicy::kGarbageRatio
-  // default), so each pass targets the overwrite-heavy segments; stop once
-  // the log is clean (or after a bounded number of passes over a
-  // pathological layout).
+  // compact() picks victims by garbage ratio, so each pass targets the
+  // overwrite-heavy segments; stop once the log is clean (or after a
+  // bounded number of passes over a pathological layout).
   for (int pass = 0; pass < 8 && lsb->stats().garbage_ratio > 0.01; ++pass)
     if (lsb->compact() == 0) break;
   const LsbBackend::SegmentStats after = lsb->stats();

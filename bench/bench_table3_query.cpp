@@ -163,7 +163,8 @@ int main() {
 
   bench::WorkloadRun sdb_run(Architecture::kS3SimpleDb);
   sdb_run.run(trace);
-  auto sdb_engine = make_sdb_query_engine(sdb_run.services);
+  auto sdb_engine =
+      make_sdb_query_engine(sdb_run.services, sdb_run.backend->topology());
 
   const std::string program = workloads::BlastWorkload::kBlastProgram;
 
@@ -204,8 +205,7 @@ int main() {
   });
   sharded_run.run(trace);
   auto sharded_engine = make_sdb_query_engine(
-      sharded_run.services,
-      SdbQueryConfig{.shard_count = shards});
+      sharded_run.services, sharded_run.backend->topology());
   const QueryCost q1_sh = measure(sharded_run, [&] {
     return static_cast<std::size_t>(
         sharded_engine->q1_all_provenance().object_versions);
@@ -236,9 +236,13 @@ int main() {
               bench::hardware_threads() == 1
                   ? "; single core: expect ~1.0x, measures overhead only"
                   : "");
+  // Same layout as the store, queried on more threads than it stored with.
   auto parallel_engine = make_sdb_query_engine(
-      sharded_run.services, SdbQueryConfig{.shard_count = shards,
-                                           .parallelism = parallelism});
+      sharded_run.services,
+      DomainTopology::make(
+          TopologyConfig{.shard_count = shards,
+                         .parallelism = parallelism,
+                         .ledger = &sharded_run.env.latency_ledger()}));
   std::size_t seq_versions = 0, par_versions = 0;
   std::set<std::string> seq_q3_par_check, par_q3;
   const double seq_ms = bench::wall_clock_ms([&] {

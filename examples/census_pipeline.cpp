@@ -105,7 +105,7 @@ int main() {
               "--version=1.2 vs --version=1.3\n");
 
   // --- And a lineage query over the whole repository ---------------------
-  auto engine = make_sdb_query_engine(services);
+  auto engine = make_sdb_query_engine(services, backend->topology());
   const auto derived = engine->q3_descendants_of("/opt/tools/trendtool");
   std::printf("\nevery file derived from trendtool (indexed SimpleDB "
               "query):\n");

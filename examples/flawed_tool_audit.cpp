@@ -84,7 +84,7 @@ int main() {
   env.clock().drain();
 
   // --- the audit -----------------------------------------------------------
-  auto engine = make_sdb_query_engine(services);
+  auto engine = make_sdb_query_engine(services, backend->topology());
 
   const auto before = env.meter().snapshot();
   const std::set<std::string> direct = engine->q2_outputs_of(flawed);

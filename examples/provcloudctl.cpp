@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
 
   auto engine = opt.arch == Architecture::kS3Only
                     ? make_s3_query_engine(services)
-                    : make_sdb_query_engine(services);
+                    : make_sdb_query_engine(services, backend->topology());
   const auto before = env.meter().snapshot();
 
   if (opt.command == "stats") {

@@ -79,7 +79,7 @@ int main() {
               saw_align ? "present" : "MISSING");
 
   // --- Challenge-style forward query: what came out of softmean? ----------
-  auto engine = make_sdb_query_engine(services);
+  auto engine = make_sdb_query_engine(services, backend->topology());
   const auto outputs = engine->q2_outputs_of("/usr/local/fsl/softmean");
   std::printf("\noutputs of softmean (indexed query):\n");
   for (const std::string& f : outputs) std::printf("  %s\n", f.c_str());

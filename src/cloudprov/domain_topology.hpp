@@ -1,12 +1,14 @@
 // DomainTopology: the one place that knows how the provenance store is laid
-// out across SimpleDB domains -- and how hard it may be hit in parallel.
+// out across SimpleDB domains -- and on how many threads its fan-outs run.
 //
 // PR 1's ShardRouter gave every consumer a hash function but left each of
 // them to copy its own router, name domains ad hoc, or (hints, properties)
 // keep assuming the single "provenance" domain. The topology owns the
 // router, the domain list, domain creation, and a bounded executor for
-// scatter/gather fan-out, so backends, query engines, the prefetch cache
-// and the property checker all address the same layout through one object.
+// scatter/gather fan-out. Each backend builds its topology once from its own
+// config; query engines, manifest readers and writers, the prefetch cache
+// and the property checker take that topology, so they all address the
+// same layout through one object.
 //
 // Kivaloo-style lesson applied here: per-request round trips become
 // throughput once requests to independent partitions overlap. SimpleDB
@@ -41,8 +43,14 @@ struct TopologyConfig {
   std::size_t shard_count = 1;
   /// Base domain name; empty selects kProvenanceDomain.
   std::string base_domain;
-  /// Concurrent shard requests the topology's executor allows. 1 runs every
-  /// fan-out inline and in order (the deterministic test/reference mode).
+  /// OS threads the topology runs a fan-out on. 1 runs every fan-out
+  /// inline and in order (the deterministic test/reference mode). This
+  /// bounds wall-clock concurrency only, not the modelled request
+  /// concurrency: with a ledger set, every task of a fan-out gets its own
+  /// ledger branch and the branches merge by max, so virtual time treats
+  /// the whole fan-out as concurrent however many threads ran it (a
+  /// 16-block manifest read at parallelism 4 is charged as 16 overlapped
+  /// GETs, not four rounds of four).
   std::size_t parallelism = 1;
   /// Elapsed-time ledger of the environment the topology fans out against
   /// (CloudEnv::latency_ledger()). When set, parallel fan-outs open one
@@ -64,7 +72,6 @@ class DomainTopology {
 
   std::size_t shard_count() const { return router_.shard_count(); }
   std::size_t parallelism() const { return executor_->parallelism(); }
-  const ShardRouter& router() const { return router_; }
 
   /// Every shard domain, in shard-index order.
   const std::vector<std::string>& domains() const { return router_.domains(); }
@@ -82,17 +89,14 @@ class DomainTopology {
   /// Create every shard domain (idempotent; backends call this once).
   void ensure_domains(aws::SimpleDbService& sdb) const;
 
-  /// The fan-out executor. Mutable by design: issuing requests through it
-  /// does not change the layout.
-  util::Executor& executor() const { return *executor_; }
-
   /// Run a batch of independent tasks. parallelism == 1 (or a single task)
   /// executes inline, in order, on the caller's thread: charges land on the
   /// caller's timeline sequentially (sum merge) -- exactly the loops this
-  /// replaced, bit-for-bit. Otherwise the tasks overlap on the executor,
-  /// each on its own ledger branch, and the caller's timeline advances by
-  /// the longest branch (critical-path merge). Tasks must not touch shared
-  /// state without their own locking.
+  /// replaced, bit-for-bit. Otherwise the tasks run on at most parallelism
+  /// threads, each task on its own ledger branch, and the caller's timeline
+  /// advances by the longest branch (critical-path merge) -- every task is
+  /// modelled as concurrent, even when there are more tasks than threads.
+  /// Tasks must not touch shared state without their own locking.
   void run_tasks(std::vector<std::function<void()>> tasks) const;
 
   /// Run fn(shard_index, domain) once per shard domain (see run_tasks for

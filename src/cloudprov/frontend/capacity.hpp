@@ -12,8 +12,11 @@
 
 namespace provcloud::cloudprov {
 
+/// Data bytes per capacity unit (see TenantQuota).
+inline constexpr std::uint64_t kCapacityUnitBytes = 4096;
+
 /// What a tenant provisioned. Units are abstract "capacity units": a close
-/// costs 1 plus one unit per FrontendConfig::capacity_unit_bytes of data,
+/// costs 1 plus one unit per kCapacityUnitBytes of data (rounded up),
 /// mirroring how DynamoDB charges write units per KB. `burst` must cover
 /// the largest single close or that close can never be admitted.
 struct TenantQuota {

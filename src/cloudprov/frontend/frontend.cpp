@@ -43,10 +43,7 @@ Frontend::TenantState& Frontend::tenant_locked(const std::string& tenant) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) {
     TenantState state;
-    auto quota = config_.quotas.find(tenant);
-    state.bucket = TokenBucket(
-        quota != config_.quotas.end() ? quota->second : config_.default_quota,
-        env_->clock().now());
+    state.bucket = TokenBucket(config_.default_quota, env_->clock().now());
     state.close_latency =
         &env_->metrics().histogram("tenant." + tenant + ".close_latency_us");
     it = tenants_.emplace(tenant, std::move(state)).first;
@@ -55,10 +52,9 @@ Frontend::TenantState& Frontend::tenant_locked(const std::string& tenant) {
 }
 
 double Frontend::close_cost(const pass::FlushUnit& unit) const {
-  if (config_.capacity_unit_bytes == 0) return 1.0;
   const std::uint64_t bytes = unit.data == nullptr ? 0 : unit.data->size();
-  return 1.0 + static_cast<double>((bytes + config_.capacity_unit_bytes - 1) /
-                                   config_.capacity_unit_bytes);
+  return 1.0 + static_cast<double>((bytes + kCapacityUnitBytes - 1) /
+                                   kCapacityUnitBytes);
 }
 
 util::Expected<FrontendTicket, BackendError> Frontend::offer(

@@ -64,12 +64,8 @@ struct FrontendConfig {
   OverflowPolicy overflow = OverflowPolicy::kReject;
   /// Off: no metering, no queue bounds -- a pure multiplexer.
   bool admission_control = true;
-  /// Quota for tenants without an explicit entry in `quotas`.
+  /// Quota every tenant's token bucket starts from.
   TenantQuota default_quota;
-  std::map<std::string, TenantQuota, std::less<>> quotas;
-  /// A close costs 1 capacity unit plus one per this many data bytes
-  /// (rounded up); 0 charges a flat 1 unit regardless of size.
-  std::uint64_t capacity_unit_bytes = 4096;
   /// Template for the pool's sessions; client_id becomes "<id>-<slot>".
   SessionConfig session;
 };

@@ -10,10 +10,13 @@
 
 namespace provcloud::cloudprov {
 
-ProvenanceCache::ProvenanceCache(CloudServices& services, PrefetchConfig config)
-    : ProvenanceCache(services, config,
-                      DomainTopology::make(TopologyConfig{
-                          .ledger = &services.env->latency_ledger()})) {}
+namespace {
+
+/// Caps on sibling and descendant prefetches per miss.
+constexpr std::size_t kSiblingLimit = 8;
+constexpr std::size_t kDescendantLimit = 4;
+
+}  // namespace
 
 ProvenanceCache::ProvenanceCache(CloudServices& services, PrefetchConfig config,
                                  std::shared_ptr<const DomainTopology> topology)
@@ -130,10 +133,10 @@ std::vector<std::string> ProvenanceCache::hint_candidates(
   //    version -- the rest of the run's outputs.
   std::size_t siblings = 0;
   for (const std::string& producer : producers) {
-    if (siblings >= config_.sibling_limit) break;
+    if (siblings >= kSiblingLimit) break;
     // A consumer of `producer` can live in any shard: scatter the query.
     const auto siblings_found = scatter_prefetch_query(
-        "['INPUT' = '" + producer + "']", {"x-kind"}, config_.sibling_limit);
+        "['INPUT' = '" + producer + "']", {"x-kind"}, kSiblingLimit);
     for (const auto& sibling : siblings_found) {
       std::string sib_object;
       std::uint32_t sib_version = 0;
@@ -144,7 +147,7 @@ std::vector<std::string> ProvenanceCache::hint_candidates(
           *kind->second.begin() != "file")
         continue;
       out.push_back(sib_object);
-      if (++siblings >= config_.sibling_limit) break;
+      if (++siblings >= kSiblingLimit) break;
     }
   }
 
@@ -154,7 +157,7 @@ std::vector<std::string> ProvenanceCache::hint_candidates(
   //    e.g. the sibling hits files feeding the same summary).
   const auto children =
       scatter_prefetch_query("['INPUT' = '" + item + "']", {},
-                             config_.descendant_limit + 4);
+                             kDescendantLimit + 4);
   {
     std::size_t descendants = 0;
     for (const auto& child : children) {
@@ -167,7 +170,7 @@ std::vector<std::string> ProvenanceCache::hint_candidates(
       if (co_inputs != child.attributes.end()) {
         std::size_t co = 0;
         for (const std::string& v : co_inputs->second) {
-          if (co >= config_.sibling_limit) break;
+          if (co >= kSiblingLimit) break;
           if (v.rfind(kSpillMarker, 0) == 0) continue;
           std::string co_object;
           std::uint32_t co_version = 0;
@@ -182,7 +185,7 @@ std::vector<std::string> ProvenanceCache::hint_candidates(
       }
 
       // Descendant files: chase one hop to the consumer's outputs.
-      if (descendants >= config_.descendant_limit) continue;
+      if (descendants >= kDescendantLimit) continue;
       const auto grandchildren = scatter_prefetch_query(
           "['INPUT' = '" + child.name + "']", {"x-kind"}, 4);
       for (const auto& g : grandchildren) {
@@ -195,7 +198,7 @@ std::vector<std::string> ProvenanceCache::hint_candidates(
           continue;
         if (g_object == object) continue;
         out.push_back(g_object);
-        if (++descendants >= config_.descendant_limit) break;
+        if (++descendants >= kDescendantLimit) break;
       }
     }
   }

@@ -40,10 +40,6 @@ struct PrefetchConfig {
   std::size_t cache_capacity = 64;
   /// Use provenance hints at all (false = plain LRU for comparison).
   bool use_provenance_hints = true;
-  /// Cap on sibling prefetches per miss.
-  std::size_t sibling_limit = 8;
-  /// Cap on descendant prefetches per miss.
-  std::size_t descendant_limit = 4;
 };
 
 struct PrefetchStats {
@@ -71,12 +67,9 @@ struct PrefetchStats {
 /// A cloud-side LRU object cache with a provenance prefetcher.
 class ProvenanceCache {
  public:
-  /// Single-domain layout (the paper's): topology defaults to one domain.
-  ProvenanceCache(CloudServices& services, PrefetchConfig config);
-  /// Sharded layout: pass the storing backend's topology
-  /// (SdbBackend::topology(), WalBackend::topology()) so hint queries hit
-  /// the object's shard domain directly and sibling/descendant sweeps
-  /// scatter across every shard instead of missing non-shard-0 objects.
+  /// Pass the storing backend's topology (SdbBackend::topology(),
+  /// WalBackend::topology()): hint queries hit the object's shard domain
+  /// directly and sibling/descendant sweeps scatter across every shard.
   ProvenanceCache(CloudServices& services, PrefetchConfig config,
                   std::shared_ptr<const DomainTopology> topology);
 

@@ -37,8 +37,6 @@ LsbBackend::LsbBackend(CloudServices& services, LsbBackendConfig config)
                                                     util::kKiB);
   config_.index_publish_entries =
       std::max<std::size_t>(config_.index_publish_entries, 1);
-  config_.batch_size = std::clamp<std::size_t>(config_.batch_size, 1,
-                                               aws::kSdbMaxItemsPerBatch);
   config_.compact_max_segments =
       std::max<std::size_t>(config_.compact_max_segments, 1);
   topology_ = DomainTopology::make(
@@ -346,9 +344,9 @@ void LsbBackend::publish_postings(
     if (it == by_domain.end()) return;
     const std::vector<aws::SdbBatchEntry>& entries = it->second;
     for (std::size_t start = 0; start < entries.size();
-         start += config_.batch_size) {
+         start += aws::kSdbMaxItemsPerBatch) {
       const std::size_t end =
-          std::min(start + config_.batch_size, entries.size());
+          std::min(start + aws::kSdbMaxItemsPerBatch, entries.size());
       std::vector<aws::SdbBatchEntry> call(
           entries.begin() + static_cast<std::ptrdiff_t>(start),
           entries.begin() + static_cast<std::ptrdiff_t>(end));
@@ -387,14 +385,6 @@ bool LsbBackend::compact_due_locked() const {
          segments_.size() >= config_.compact_trigger_segments;
 }
 
-const char* to_string(CleanerPolicy policy) {
-  switch (policy) {
-    case CleanerPolicy::kGarbageRatio: return "garbage-ratio";
-    case CleanerPolicy::kOldestFirst: return "oldest-first";
-  }
-  return "?";
-}
-
 std::size_t LsbBackend::compact() {
   aws::CloudEnv& env = *services_->env;
   // Cleaner precondition: every sealed segment checkpointed, so candidates
@@ -420,8 +410,7 @@ std::size_t LsbBackend::compact() {
     const bool any_garbage =
         std::any_of(candidates.begin(), candidates.end(),
                     [](const Candidate& c) { return c.ratio > 0.0; });
-    if (config_.cleaner_policy == CleanerPolicy::kGarbageRatio &&
-        any_garbage) {
+    if (any_garbage) {
       // Cost/benefit selection: garbage-richest first (ties older-first via
       // stable sort), and zero-garbage segments are not worth a rewrite
       // while richer victims exist.

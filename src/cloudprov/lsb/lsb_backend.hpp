@@ -13,12 +13,12 @@
 //
 // A background cleaner runs in the commit-daemon role (inside commit_group
 // / pump, never a thread of its own): it rewrites the live entries of its
-// victim segments (garbage-richest first by default, see CleanerPolicy)
-// into one consolidated segment -- dropping data bytes of
-// superseded file versions, whose records alone stay retrievable, exactly
-// the retention Arch 1-3 offer -- republishes their postings, advances the
-// durable delete-to watermark (kivaloo deleteto.c style) and deletes the
-// dead objects. Ancestry walks are bit-identical before and after.
+// victim segments (garbage-richest first, see compact()) into one
+// consolidated segment -- dropping data bytes of superseded file versions,
+// whose records alone stay retrievable, exactly the retention Arch 1-3
+// offer -- republishes their postings, advances the durable delete-to
+// watermark (kivaloo deleteto.c style) and deletes the dead objects.
+// Ancestry walks are bit-identical before and after.
 #pragma once
 
 #include <cstdint>
@@ -33,19 +33,6 @@
 
 namespace provcloud::cloudprov {
 
-/// How the cleaner picks its victims.
-enum class CleanerPolicy {
-  /// Cost/benefit: rewrite the indexed segments with the highest garbage
-  /// fraction first (fewest live bytes copied per byte reclaimed); ties
-  /// break older-first. Falls back to age order when no segment holds
-  /// garbage (consolidation still relieves segment-count pressure).
-  kGarbageRatio,
-  /// Legacy: the oldest contiguous indexed prefix, garbage or not.
-  kOldestFirst,
-};
-
-const char* to_string(CleanerPolicy policy);
-
 /// Storage-path knobs of the log-structured backend.
 struct LsbBackendConfig {
   /// Seal the open segment early once its encoding would exceed this.
@@ -58,12 +45,8 @@ struct LsbBackendConfig {
   std::size_t compact_trigger_segments = 64;
   /// Most segments one cleaner pass rewrites.
   std::size_t compact_max_segments = 32;
-  /// Victim selection (see CleanerPolicy).
-  CleanerPolicy cleaner_policy = CleanerPolicy::kGarbageRatio;
   /// SimpleDB domains the index postings are hashed across.
   std::size_t shard_count = 1;
-  /// Items per BatchPutAttributes publication call.
-  std::size_t batch_size = aws::kSdbMaxItemsPerBatch;
   /// Concurrent shard requests (index publication, read_many fan-out).
   std::size_t parallelism = 1;
 };
@@ -122,9 +105,13 @@ class LsbBackend final : public ProvenanceBackend {
   /// Force an index publication now (bench/test hook).
   void publish_index();
 
-  /// One cleaner pass over up to `compact_max_segments` victims picked by
-  /// `cleaner_policy`. Returns the number of segments reclaimed (0 =
-  /// nothing eligible).
+  /// One cleaner pass over up to `compact_max_segments` victims, picked by
+  /// cost/benefit: the indexed segments with the highest garbage fraction
+  /// first (fewest live bytes copied per byte reclaimed), ties older-first,
+  /// all-live segments skipped while any segment holds garbage. With no
+  /// garbage anywhere it falls back to age order (consolidation still
+  /// relieves segment-count pressure). Returns the number of segments
+  /// reclaimed (0 = nothing eligible).
   std::size_t compact();
 
   /// Cleaner-effectiveness counters (in-memory view; exact after quiesce).

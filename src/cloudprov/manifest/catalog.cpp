@@ -36,8 +36,7 @@ std::optional<std::string> single_value(const aws::SdbItem& attrs,
 
 }  // namespace
 
-Catalog::Catalog(CloudServices& services, std::uint32_t max_retries)
-    : services_(&services), max_retries_(max_retries) {}
+Catalog::Catalog(CloudServices& services) : services_(&services) {}
 
 void Catalog::ensure_domain() {
   auto created = services_->sdb.create_domain(kCatalogDomain);
@@ -62,7 +61,7 @@ std::optional<CatalogPointer> Catalog::read_row(const std::string& item,
       if (!id_v || !entries_v) return std::nullopt;
       return CatalogPointer{*id_v, *list_key, *entries_v};
     }
-    if (!retry_invisible || attempt >= max_retries_) return std::nullopt;
+    if (!retry_invisible || attempt >= kManifestMaxRetries) return std::nullopt;
   }
 }
 

@@ -27,7 +27,7 @@ struct CatalogPointer {
 
 class Catalog {
  public:
-  explicit Catalog(CloudServices& services, std::uint32_t max_retries = 64);
+  explicit Catalog(CloudServices& services);
 
   /// Create the catalog domain (idempotent).
   void ensure_domain();
@@ -63,7 +63,6 @@ class Catalog {
                                          bool retry_invisible);
 
   CloudServices* services_;
-  std::uint32_t max_retries_;
 };
 
 }  // namespace provcloud::cloudprov::manifest

@@ -35,6 +35,10 @@ inline constexpr const char* kManifestBucket = "pass-manifests";
 /// SimpleDB domain holding the catalog pointer rows.
 inline constexpr const char* kCatalogDomain = "prov-catalog";
 
+/// Propagation-retry budget of every manifest read: catalog rows, block
+/// GETs, and the item records a roll or a tail fallback fetches.
+inline constexpr std::uint32_t kManifestMaxRetries = 64;
+
 /// S3 keys of a snapshot's objects.
 std::string manifest_list_key(std::uint64_t snapshot_id);
 std::string manifest_block_key(std::uint64_t snapshot_id, std::size_t block);

@@ -12,12 +12,10 @@
 namespace provcloud::cloudprov::manifest {
 
 ManifestReader::ManifestReader(CloudServices& services,
-                               std::shared_ptr<const DomainTopology> topology,
-                               ManifestReaderConfig config)
+                               std::shared_ptr<const DomainTopology> topology)
     : services_(&services),
       topology_(std::move(topology)),
-      config_(config),
-      cache_(std::make_shared<AncestorCache>(config.cache_capacity)) {
+      cache_(std::make_shared<AncestorCache>(kAncestorCacheCapacity)) {
   PROVCLOUD_REQUIRE(topology_ != nullptr);
   cache_->bind_metrics(services.env->metrics());
 }
@@ -30,7 +28,7 @@ const char* const* ManifestReader::sdb_read_ops() {
 
 BackendResult<std::vector<ManifestEntry>> ManifestReader::fetch_block_with_retry(
     const std::string& key) {
-  for (std::uint32_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kManifestMaxRetries; ++attempt) {
     if (attempt > 0)
       charge_read_retry(*services_->env);
     auto got = services_->s3.get(kManifestBucket, key);
@@ -51,7 +49,7 @@ BackendResult<void> ManifestReader::bind(const CatalogPointer& pointer,
     pinned_ = pinned;
     return {};
   }
-  for (std::uint32_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kManifestMaxRetries; ++attempt) {
     if (attempt > 0)
       charge_read_retry(*services_->env);
     auto got = services_->s3.get(kManifestBucket, pointer.list_key);
@@ -72,7 +70,7 @@ BackendResult<void> ManifestReader::bind(const CatalogPointer& pointer,
 }
 
 BackendResult<void> ManifestReader::open_current() {
-  Catalog catalog(*services_, config_.max_retries);
+  Catalog catalog(*services_);
   catalog.ensure_domain();
   const std::optional<CatalogPointer> cur = catalog.current();
   if (!cur)
@@ -82,7 +80,7 @@ BackendResult<void> ManifestReader::open_current() {
 }
 
 BackendResult<void> ManifestReader::open(std::uint64_t snapshot_id) {
-  Catalog catalog(*services_, config_.max_retries);
+  Catalog catalog(*services_);
   catalog.ensure_domain();
   const std::optional<CatalogPointer> row = catalog.history(snapshot_id);
   if (!row)
@@ -182,7 +180,7 @@ ManifestReader::get_provenance_many(const std::vector<pass::ObjectVersion>& ids)
       continue;
     }
     results[i] = fetch_sdb_provenance(*services_, *topology_, ids[i].object,
-                                      ids[i].version, config_.max_retries);
+                                      ids[i].version, kManifestMaxRetries);
   }
   return results;
 }

@@ -28,18 +28,13 @@
 
 namespace provcloud::cloudprov::manifest {
 
-struct ManifestReaderConfig {
-  /// AncestorCache capacity (transitive-closure fragments).
-  std::size_t cache_capacity = 4096;
-  /// Retry budget for propagation races (block GETs, tail reads).
-  std::uint32_t max_retries = 64;
-};
+/// AncestorCache capacity of every reader (transitive-closure fragments).
+inline constexpr std::size_t kAncestorCacheCapacity = 4096;
 
 class ManifestReader {
  public:
   ManifestReader(CloudServices& services,
-                 std::shared_ptr<const DomainTopology> topology,
-                 ManifestReaderConfig config = {});
+                 std::shared_ptr<const DomainTopology> topology);
 
   /// Bind to the committed current snapshot. Cheap when already bound to
   /// it (one catalog read, no list GET). Errors with kNotFound when no
@@ -82,7 +77,6 @@ class ManifestReader {
 
   CloudServices* services_;
   std::shared_ptr<const DomainTopology> topology_;
-  ManifestReaderConfig config_;
   std::shared_ptr<AncestorCache> cache_;
   ManifestList list_;
   bool open_ = false;

@@ -19,7 +19,7 @@ ManifestWriter::ManifestWriter(CloudServices& services,
 
 BackendResult<ManifestList> ManifestWriter::roll() {
   aws::CloudEnv& env = *services_->env;
-  Catalog catalog(*services_, config_.max_retries);
+  Catalog catalog(*services_);
   catalog.ensure_domain();
   env.failures().crash_point("manifest.roll.begin");
 
@@ -50,7 +50,7 @@ BackendResult<ManifestList> ManifestWriter::roll() {
       pass::ObjectVersion id;
       if (!parse_item_name(item, id.object, id.version)) continue;
       auto records = fetch_sdb_provenance(*services_, *topology_, id.object,
-                                          id.version, config_.max_retries);
+                                          id.version, kManifestMaxRetries);
       if (!records)
         return backend_error(
             BackendErrorCode::kServiceError,

@@ -33,8 +33,6 @@ struct ManifestWriterConfig {
   /// Entries per manifest block. Smaller blocks prune tighter; larger
   /// blocks amortize GETs harder (the kivaloo lbs trade).
   std::size_t block_entries = 64;
-  /// Visibility-retry budget when fetching item records at roll time.
-  std::uint32_t max_retries = 64;
 };
 
 class ManifestWriter {

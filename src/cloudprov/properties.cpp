@@ -541,10 +541,7 @@ PropertyReport check_properties(Architecture arch,
           arch == Architecture::kS3Only ? make_s3_query_engine(fx.services)
           : arch == Architecture::kS3SegmentLog
               ? make_lsb_query_engine(fx.services)
-              : make_sdb_query_engine(
-                    fx.services,
-                    SdbQueryConfig{.shard_count = options.shard_count,
-                                   .parallelism = options.parallelism});
+              : make_sdb_query_engine(fx.services, fx.topology);
       const sim::MeterSnapshot before = fx.env.meter().snapshot();
       engine->q2_outputs_of("/usr/bin/gcc");
       const sim::MeterSnapshot diff =

@@ -14,6 +14,10 @@ namespace provcloud::cloudprov {
 
 namespace {
 
+/// OR-terms per predicate when chunking large ancestor sets into
+/// ['INPUT' = 'a' or 'INPUT' = 'b' ...] expressions.
+constexpr std::size_t kOrTermsPerQuery = 20;
+
 bool is_internal_key(const std::string& key) {
   return util::starts_with(key, kOverflowPrefix) ||
          util::starts_with(key, kTempPrefix);
@@ -163,9 +167,8 @@ class S3QueryEngine final : public QueryEngine {
 class SdbQueryEngine final : public QueryEngine {
  public:
   SdbQueryEngine(CloudServices& services,
-                 std::shared_ptr<const DomainTopology> topology,
-                 SdbQueryConfig config)
-      : services_(&services), config_(config), topology_(std::move(topology)) {}
+                 std::shared_ptr<const DomainTopology> topology)
+      : services_(&services), topology_(std::move(topology)) {}
   std::string name() const override {
     if (topology_->shard_count() == 1) return "SimpleDB";
     return "SimpleDB[x" + std::to_string(topology_->shard_count()) + "]";
@@ -301,9 +304,8 @@ class SdbQueryEngine final : public QueryEngine {
     ItemPage out;
     std::vector<std::string> list(ancestors.begin(), ancestors.end());
     for (std::size_t start = 0; start < list.size();
-         start += config_.or_terms_per_query) {
-      const std::size_t end =
-          std::min(start + config_.or_terms_per_query, list.size());
+         start += kOrTermsPerQuery) {
+      const std::size_t end = std::min(start + kOrTermsPerQuery, list.size());
       std::string expr = "[";
       for (std::size_t i = start; i < end; ++i) {
         if (i > start) expr += " or ";
@@ -332,7 +334,6 @@ class SdbQueryEngine final : public QueryEngine {
   }
 
   CloudServices* services_;
-  SdbQueryConfig config_;
   std::shared_ptr<const DomainTopology> topology_;
 };
 
@@ -344,14 +345,11 @@ class ManifestQueryEngine final : public QueryEngine {
  public:
   ManifestQueryEngine(CloudServices& services,
                       std::shared_ptr<manifest::ManifestReader> reader,
-                      std::shared_ptr<const DomainTopology> topology,
-                      ManifestQueryConfig config)
+                      std::shared_ptr<const DomainTopology> topology)
       : services_(&services),
-        config_(config),
         topology_(std::move(topology)),
         reader_(std::move(reader)),
-        inner_(std::make_unique<SdbQueryEngine>(services, topology_,
-                                                config.base)) {}
+        inner_(std::make_unique<SdbQueryEngine>(services, topology_)) {}
 
   std::string name() const override { return inner_->name() + "+manifest"; }
 
@@ -387,10 +385,7 @@ class ManifestQueryEngine final : public QueryEngine {
                                 std::size_t max_nodes) override {
     // A pinned reader with its own cache: binding the shared reader to an
     // old snapshot would invalidate the hot current-snapshot cache.
-    manifest::ManifestReader pinned(
-        *services_, topology_,
-        manifest::ManifestReaderConfig{.cache_capacity = config_.cache_capacity,
-                                       .max_retries = config_.max_retries});
+    manifest::ManifestReader pinned(*services_, topology_);
     const auto opened = pinned.open(snapshot_id);
     if (!opened) {
       AncestryResult result;
@@ -406,7 +401,6 @@ class ManifestQueryEngine final : public QueryEngine {
 
  private:
   CloudServices* services_;
-  ManifestQueryConfig config_;
   std::shared_ptr<const DomainTopology> topology_;
   std::shared_ptr<manifest::ManifestReader> reader_;
   std::unique_ptr<SdbQueryEngine> inner_;
@@ -424,59 +418,24 @@ std::unique_ptr<QueryEngine> make_s3_query_engine(CloudServices& services) {
   return std::make_unique<S3QueryEngine>(services);
 }
 
-std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services) {
-  return make_sdb_query_engine(services, SdbQueryConfig{});
-}
-
-std::unique_ptr<QueryEngine> make_sdb_query_engine(
-    CloudServices& services, const SdbQueryConfig& config) {
-  auto topology = DomainTopology::make(
-      TopologyConfig{.shard_count = config.shard_count,
-                     .parallelism = config.parallelism,
-                     .ledger = &services.env->latency_ledger()});
-  return std::make_unique<SdbQueryEngine>(services, std::move(topology),
-                                          config);
-}
-
-std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services,
-                                                   const ShardRouter& router) {
-  SdbQueryConfig config;
-  config.shard_count = router.shard_count();
-  return make_sdb_query_engine(services, config);
-}
-
 std::unique_ptr<QueryEngine> make_sdb_query_engine(
     CloudServices& services, std::shared_ptr<const DomainTopology> topology) {
-  SdbQueryConfig config;
-  config.shard_count = topology->shard_count();
-  config.parallelism = topology->parallelism();
-  return std::make_unique<SdbQueryEngine>(services, std::move(topology),
-                                          config);
+  PROVCLOUD_REQUIRE(topology != nullptr);
+  return std::make_unique<SdbQueryEngine>(services, std::move(topology));
 }
 
 std::unique_ptr<QueryEngine> make_manifest_query_engine(
-    CloudServices& services, std::shared_ptr<const DomainTopology> topology,
-    const ManifestQueryConfig& config) {
-  ManifestQueryConfig cfg = config;
-  cfg.base.shard_count = topology->shard_count();
-  cfg.base.parallelism = topology->parallelism();
-  auto reader = std::make_shared<manifest::ManifestReader>(
-      services, topology,
-      manifest::ManifestReaderConfig{.cache_capacity = cfg.cache_capacity,
-                                     .max_retries = cfg.max_retries});
-  return std::make_unique<ManifestQueryEngine>(services, std::move(reader),
-                                               std::move(topology), cfg);
+    CloudServices& services, std::shared_ptr<const DomainTopology> topology) {
+  return make_manifest_query_engine(
+      services, std::make_shared<manifest::ManifestReader>(
+                    services, std::move(topology)));
 }
 
 std::unique_ptr<QueryEngine> make_manifest_query_engine(
-    CloudServices& services, std::shared_ptr<manifest::ManifestReader> reader,
-    const ManifestQueryConfig& config) {
-  ManifestQueryConfig cfg = config;
+    CloudServices& services, std::shared_ptr<manifest::ManifestReader> reader) {
   std::shared_ptr<const DomainTopology> topology = reader->topology();
-  cfg.base.shard_count = topology->shard_count();
-  cfg.base.parallelism = topology->parallelism();
   return std::make_unique<ManifestQueryEngine>(services, std::move(reader),
-                                               std::move(topology), cfg);
+                                               std::move(topology));
 }
 
 }  // namespace provcloud::cloudprov

@@ -83,32 +83,13 @@ std::unique_ptr<QueryEngine> make_lsb_query_engine(CloudServices& services);
 
 /// Arch-2/3 engine: indexed SimpleDB queries ("The query results are the
 /// same for the last two architectures (as they both query SimpleDB)").
-/// With shard_count > 1 every query scatters across the shard domains and
-/// the per-domain answers are gathered: since items are partitioned by
-/// object hash, the merged result is identical at any shard count. With
-/// parallelism > 1 the per-domain requests overlap on the topology's
-/// executor; the gathered answers (and metered call counts) are identical
-/// at any parallelism.
-struct SdbQueryConfig {
-  /// OR-terms per predicate when chunking large ancestor sets into
-  /// ['INPUT' = 'a' or 'INPUT' = 'b' ...] expressions.
-  std::size_t or_terms_per_query = 20;
-  /// Must match the shard_count the storing backend used.
-  std::size_t shard_count = 1;
-  /// Concurrent per-domain requests for scatter/gather. 1 is sequential.
-  std::size_t parallelism = 1;
-};
-class ShardRouter;
+/// Every query scatters across the topology's shard domains and gathers the
+/// per-domain answers: since items are partitioned by object hash, the
+/// merged result is identical at any shard count. With parallelism > 1 the
+/// per-domain requests overlap on the topology's threads; the gathered
+/// answers (and metered call counts) are identical at any parallelism.
+/// Pass the storing backend's topology() so the layout cannot drift.
 class DomainTopology;
-std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services);
-std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services,
-                                                   const SdbQueryConfig& config);
-/// Build the engine from the storing backend's router (SdbBackend::router(),
-/// WalBackend::router()), so the shard layout cannot drift out of sync.
-std::unique_ptr<QueryEngine> make_sdb_query_engine(CloudServices& services,
-                                                   const ShardRouter& router);
-/// Share the storing backend's topology outright (SdbBackend::topology(),
-/// WalBackend::topology()): same layout *and* same executor.
 std::unique_ptr<QueryEngine> make_sdb_query_engine(
     CloudServices& services, std::shared_ptr<const DomainTopology> topology);
 
@@ -119,24 +100,11 @@ std::unique_ptr<QueryEngine> make_sdb_query_engine(
 /// topology, then the SimpleDB mutable-tail fallback -- with results
 /// bit-identical to the pure scatter path. supports_time_travel() is true:
 /// ancestry_as_of answers from any committed historical snapshot.
-///
-/// Config migration: SdbQueryConfig call sites keep working unchanged; the
-/// manifest engine nests that struct as `base` and only adds the snapshot
-/// read-path knobs on top.
-struct ManifestQueryConfig {
-  SdbQueryConfig base;
-  /// AncestorCache capacity (transitive-closure fragments kept resident).
-  std::size_t cache_capacity = 4096;
-  /// Propagation-retry budget of the snapshot read path.
-  std::uint32_t max_retries = 64;
-};
 std::unique_ptr<QueryEngine> make_manifest_query_engine(
-    CloudServices& services, std::shared_ptr<const DomainTopology> topology,
-    const ManifestQueryConfig& config = {});
+    CloudServices& services, std::shared_ptr<const DomainTopology> topology);
 /// Share an existing reader (and therefore its AncestorCache) with other
 /// consumers -- the hints prefetcher, tests poking cache stats.
 std::unique_ptr<QueryEngine> make_manifest_query_engine(
-    CloudServices& services, std::shared_ptr<manifest::ManifestReader> reader,
-    const ManifestQueryConfig& config = {});
+    CloudServices& services, std::shared_ptr<manifest::ManifestReader> reader);
 
 }  // namespace provcloud::cloudprov

@@ -12,12 +12,7 @@ namespace {
 const util::SharedBytes kEmptyBytes = util::make_shared_bytes(util::Bytes{});
 }
 
-S3Backend::S3Backend(CloudServices& services, std::size_t parallelism)
-    : services_(&services),
-      topology_(DomainTopology::make(
-          TopologyConfig{.shard_count = 1,
-                         .parallelism = parallelism,
-                         .ledger = &services.env->latency_ledger()})) {}
+S3Backend::S3Backend(CloudServices& services) : services_(&services) {}
 
 void S3Backend::commit_group(const std::vector<TicketState*>& group,
                              sim::LatencyLedger* ledger) {

@@ -19,16 +19,14 @@
 #pragma once
 
 #include "cloudprov/backend.hpp"
-#include "cloudprov/domain_topology.hpp"
 
 namespace provcloud::cloudprov {
 
 class S3Backend final : public ProvenanceBackend {
  public:
-  /// `parallelism` bounds read_many's fan-out (1 = the paper's sequential
-  /// protocol); Arch 1 keeps no SimpleDB shards, so its topology is a
-  /// single-shard executor handle only.
-  explicit S3Backend(CloudServices& services, std::size_t parallelism = 1);
+  /// Arch 1 keeps no SimpleDB shards and so has no topology: read_many
+  /// reads one object after another (the paper's sequential protocol).
+  explicit S3Backend(CloudServices& services);
 
   Architecture architecture() const override { return Architecture::kS3Only; }
   std::string name() const override { return "S3"; }
@@ -41,9 +39,6 @@ class S3Backend final : public ProvenanceBackend {
   /// One blocking single-PUT store per close, in submit order.
   void commit_group(const std::vector<TicketState*>& group,
                     sim::LatencyLedger* ledger) override;
-  std::shared_ptr<const DomainTopology> topology() const override {
-    return topology_;
-  }
   BackendResult<ReadResult> read(const std::string& object,
                                  std::uint32_t max_retries = 64) override;
   BackendResult<std::vector<pass::ProvenanceRecord>> get_provenance(
@@ -66,7 +61,6 @@ class S3Backend final : public ProvenanceBackend {
       std::vector<pass::ProvenanceRecord> records, std::uint32_t max_retries);
 
   CloudServices* services_;
-  std::shared_ptr<const DomainTopology> topology_;
 };
 
 }  // namespace provcloud::cloudprov

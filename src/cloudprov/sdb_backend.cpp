@@ -157,16 +157,6 @@ void SdbBackend::commit_group(const std::vector<TicketState*>& group,
                               sim::LatencyLedger* ledger) {
   aws::CloudEnv& env = *services_->env;
 
-  // Sessions may narrow the SimpleDB batch width: the smallest nonzero
-  // per-ticket override wins for the whole group (every rider's constraint
-  // is honored); no override inherits the backend's configured width.
-  std::size_t batch_size = 0;
-  for (const TicketState* ticket : group)
-    if (ticket->batch_size > 0)
-      batch_size = batch_size == 0 ? ticket->batch_size
-                                   : std::min(batch_size, ticket->batch_size);
-  if (batch_size == 0) batch_size = config_.batch_size;
-
   struct PreparedUnit {
     TicketState* ticket = nullptr;
     std::string item;
@@ -235,7 +225,7 @@ void SdbBackend::commit_group(const std::vector<TicketState*>& group,
   // (<= 25) items per shard domain, wave by wave -- the cross-close group
   // commit. Legacy path (batch_size == 1): the paper's PutAttributes
   // chunking, one item at a time in submit (causal) order.
-  if (batch_size <= 1) {
+  if (config_.batch_size <= 1) {
     for (PreparedUnit& p : prepared) {
       for (std::size_t start = 0; start < p.attributes.size();
            start += aws::kSdbMaxAttrsPerCall) {
@@ -252,7 +242,7 @@ void SdbBackend::commit_group(const std::vector<TicketState*>& group,
     }
   } else {
     const std::size_t batch_limit =
-        std::min(batch_size, aws::kSdbMaxItemsPerBatch);
+        std::min(config_.batch_size, aws::kSdbMaxItemsPerBatch);
     std::size_t max_level = 0;
     for (const PreparedUnit& p : prepared)
       max_level = std::max(max_level, p.level);

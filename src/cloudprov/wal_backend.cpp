@@ -16,6 +16,13 @@ namespace provcloud::cloudprov {
 namespace {
 const util::SharedBytes kEmptyBytes = util::make_shared_bytes(util::Bytes{});
 constexpr const char* kTempCreatedMetaKey = "x-temp-created";
+/// Rounds of ReceiveMessage per pump (each round fetches <= 10 messages
+/// from a shard sample).
+constexpr std::uint32_t kReceiveRounds = 24;
+/// Visibility timeout of the WAL queue.
+constexpr sim::SimTime kVisibilityTimeout = 60 * sim::kSecond;
+/// COPY retries against propagation races before deferring the txn.
+constexpr std::uint32_t kCopyRetries = 32;
 }  // namespace
 
 WalBackend::WalBackend(CloudServices& services, WalBackendConfig config)
@@ -27,7 +34,7 @@ WalBackend::WalBackend(CloudServices& services, WalBackendConfig config)
                          .ledger = &services.env->latency_ledger()})) {
   topology_->ensure_domains(services_->sdb);
   auto queue =
-      services_->sqs.create_queue(config_.queue_name, config_.visibility_timeout);
+      services_->sqs.create_queue(config_.queue_name, kVisibilityTimeout);
   PROVCLOUD_REQUIRE(queue.has_value());
   queue_url_ = *queue;
 }
@@ -244,7 +251,7 @@ void WalBackend::commit_phase(bool forced) {
   // calls are required to see everything.
   std::map<std::string, WalTransaction> txns;
   std::uint32_t quiet_rounds = 0;
-  for (std::uint32_t round = 0; round < config_.receive_rounds; ++round) {
+  for (std::uint32_t round = 0; round < kReceiveRounds; ++round) {
     auto batch =
         services_->sqs.receive_message(queue_url_, aws::kSqsMaxReceiveBatch);
     if (!batch) break;
@@ -342,7 +349,7 @@ std::optional<WalBackend::StagedTxn> WalBackend::prepare_transaction(
   meta[kVersionMetaKey] = std::to_string(data.version);
   bool copied = false;
   for (std::uint32_t attempt = 0;
-       has_data && !superseded && attempt <= config_.copy_retries; ++attempt) {
+       has_data && !superseded && attempt <= kCopyRetries; ++attempt) {
     auto copy = services_->s3.copy(kDataBucket, data.temp_key, kDataBucket,
                                    data.object, aws::MetadataDirective::kReplace,
                                    meta);
@@ -519,7 +526,7 @@ void WalBackend::quiesce() {
     // that virtual time passes, so the wait lands on its ledger timeline as
     // "idle" -- leaving it uncharged flattered Arch 3's elapsed numbers
     // (the daemon's wakeup cadence looked free).
-    const sim::SimTime visibility = config_.visibility_timeout;
+    const sim::SimTime visibility = kVisibilityTimeout;
     const sim::SimTime wakeup =
         env.consistency().propagation_max + sim::kSecond;
     env.latency_ledger().charge(visibility + wakeup, "idle");
@@ -549,7 +556,7 @@ void WalBackend::clean_temp_objects() {
       } catch (...) {
         continue;
       }
-      if (now >= created && now - created >= config_.temp_object_ttl) {
+      if (now >= created && now - created >= aws::kSqsRetention) {
         auto del = services_->s3.del(kDataBucket, key);
         (void)del;
       }

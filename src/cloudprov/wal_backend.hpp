@@ -35,16 +35,6 @@ struct WalBackendConfig {
   std::string queue_name = "wal-client-0";
   /// Commit-daemon trigger: ApproximateNumberOfMessages threshold.
   std::uint64_t commit_threshold = 32;
-  /// Rounds of ReceiveMessage per pump (each round fetches <= 10 messages
-  /// from a shard sample).
-  std::uint32_t receive_rounds = 24;
-  /// Visibility timeout for WAL receives.
-  sim::SimTime visibility_timeout = 60 * sim::kSecond;
-  /// COPY retries against propagation races before deferring the txn.
-  std::uint32_t copy_retries = 32;
-  /// Cleaner: temp objects older than this are removed (the paper uses
-  /// SQS's 4-day retention as the matching bound).
-  sim::SimTime temp_object_ttl = 4 * sim::kDay;
   /// SimpleDB domains provenance items are hashed across. 1 keeps the
   /// original single-"provenance"-domain layout bit-identically.
   std::size_t shard_count = 1;
@@ -93,7 +83,7 @@ class WalBackend final : public ProvenanceBackend {
   void quiesce() override;
 
   /// Cleaner daemon: delete temp objects of uncommitted transactions older
-  /// than the TTL.
+  /// than SQS's 4-day retention (the paper's matching bound).
   void clean_temp_objects();
 
   PropertyClaims claims() const override {
@@ -107,7 +97,6 @@ class WalBackend final : public ProvenanceBackend {
   std::shared_ptr<const DomainTopology> topology() const override {
     return topology_;
   }
-  const ShardRouter& router() const { return topology_->router(); }
   /// Transactions the commit daemon has fully processed (diagnostics).
   std::uint64_t committed_count() const { return committed_count_; }
 

@@ -37,8 +37,11 @@ namespace provcloud::util {
 
 class Executor {
  public:
-  /// `parallelism` is the number of concurrent tasks allowed; the pool
-  /// holds parallelism worker threads when > 1, none otherwise.
+  /// `parallelism` is the number of worker threads: the pool holds that
+  /// many when > 1, none otherwise. It bounds how many tasks run at once
+  /// on the real clock only; the executor knows nothing of virtual time
+  /// (DomainTopology::run_tasks charges every task of a batch as
+  /// concurrent, whatever the thread count).
   explicit Executor(std::size_t parallelism = 1);
   ~Executor();
 

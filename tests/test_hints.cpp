@@ -51,7 +51,7 @@ struct World {
 
 TEST(HintsTest, MissFetchesFromS3) {
   World w;
-  ProvenanceCache cache(w.services, PrefetchConfig{});
+  ProvenanceCache cache(w.services, PrefetchConfig{}, w.topology);
   auto data = cache.read("out0");
   ASSERT_NE(data, nullptr);
   EXPECT_EQ(*data, "data0");
@@ -61,7 +61,7 @@ TEST(HintsTest, MissFetchesFromS3) {
 
 TEST(HintsTest, RepeatReadHits) {
   World w;
-  ProvenanceCache cache(w.services, PrefetchConfig{});
+  ProvenanceCache cache(w.services, PrefetchConfig{}, w.topology);
   cache.read("out0");
   cache.read("out0");
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -69,7 +69,7 @@ TEST(HintsTest, RepeatReadHits) {
 
 TEST(HintsTest, SiblingsArePrefetched) {
   World w;
-  ProvenanceCache cache(w.services, PrefetchConfig{});
+  ProvenanceCache cache(w.services, PrefetchConfig{}, w.topology);
   cache.read("out0");
   EXPECT_GT(cache.stats().prefetches, 0u);
   // Reading a sibling is now a hit.
@@ -81,9 +81,7 @@ TEST(HintsTest, SiblingsArePrefetched) {
 
 TEST(HintsTest, DescendantsArePrefetched) {
   World w;
-  PrefetchConfig cfg;
-  cfg.descendant_limit = 4;
-  ProvenanceCache cache(w.services, cfg);
+  ProvenanceCache cache(w.services, PrefetchConfig{}, w.topology);
   cache.read("out0");
   // report.pdf derives from out0 via /bin/report: should be warm.
   EXPECT_TRUE(cache.is_cached("report.pdf"));
@@ -93,7 +91,7 @@ TEST(HintsTest, DisabledHintsMeanNoPrefetch) {
   World w;
   PrefetchConfig cfg;
   cfg.use_provenance_hints = false;
-  ProvenanceCache cache(w.services, cfg);
+  ProvenanceCache cache(w.services, cfg, w.topology);
   cache.read("out0");
   EXPECT_EQ(cache.stats().prefetches, 0u);
   const std::uint64_t misses_before = cache.stats().misses;
@@ -106,7 +104,7 @@ TEST(HintsTest, LruEvictionRespectsCapacity) {
   PrefetchConfig cfg;
   cfg.cache_capacity = 2;
   cfg.use_provenance_hints = false;
-  ProvenanceCache cache(w.services, cfg);
+  ProvenanceCache cache(w.services, cfg, w.topology);
   cache.read("out0");
   cache.read("out1");
   cache.read("out2");  // evicts out0
@@ -120,7 +118,7 @@ TEST(HintsTest, TouchKeepsHotEntriesAlive) {
   PrefetchConfig cfg;
   cfg.cache_capacity = 2;
   cfg.use_provenance_hints = false;
-  ProvenanceCache cache(w.services, cfg);
+  ProvenanceCache cache(w.services, cfg, w.topology);
   cache.read("out0");
   cache.read("out1");
   cache.read("out0");  // refresh out0
@@ -131,13 +129,13 @@ TEST(HintsTest, TouchKeepsHotEntriesAlive) {
 
 TEST(HintsTest, MissingObjectReturnsNull) {
   World w;
-  ProvenanceCache cache(w.services, PrefetchConfig{});
+  ProvenanceCache cache(w.services, PrefetchConfig{}, w.topology);
   EXPECT_EQ(cache.read("never-existed"), nullptr);
 }
 
 TEST(HintsTest, PrefetchTrafficIsSeparatelyMetered) {
   World w;
-  ProvenanceCache cache(w.services, PrefetchConfig{});
+  ProvenanceCache cache(w.services, PrefetchConfig{}, w.topology);
   const auto before = w.env.meter().snapshot();
   cache.read("out0");
   const auto diff = w.env.meter().snapshot().diff(before);
@@ -151,7 +149,7 @@ TEST(HintsTest, PrefetchTrafficIsSeparatelyMetered) {
 
 TEST(HintsTest, PrefetchAccuracyAccounting) {
   World w;
-  ProvenanceCache cache(w.services, PrefetchConfig{});
+  ProvenanceCache cache(w.services, PrefetchConfig{}, w.topology);
   cache.read("out0");
   for (int i = 1; i < 6; ++i) cache.read("out" + std::to_string(i));
   const PrefetchStats& s = cache.stats();

@@ -152,8 +152,8 @@ TEST(CrossArchitectureTest, QueryAnswersAgree) {
   p3.run(trace);
 
   auto e1 = make_s3_query_engine(p1.services);
-  auto e2 = make_sdb_query_engine(p2.services);
-  auto e3 = make_sdb_query_engine(p3.services);
+  auto e2 = make_sdb_query_engine(p2.services, p2.backend->topology());
+  auto e3 = make_sdb_query_engine(p3.services, p3.backend->topology());
 
   const std::string program = "/usr/bin/blastall";
   const auto q2_1 = e1->q2_outputs_of(program);

@@ -344,47 +344,36 @@ TEST(LsbBackendTest, CompactionReclaimsGarbageAndPreservesAncestry) {
   EXPECT_TRUE(ancestry_equal(fetch_ancestry(*fresh, "cold", 1), want));
 }
 
-TEST(LsbBackendTest, GarbageRatioPolicyRewritesFewerBytesThanOldestFirst) {
+TEST(LsbBackendTest, CleanerSkipsTheAllLiveColdPrefix) {
   // Garbage concentrated in LATE segments: a live prefix of never-
-  // overwritten objects, then repeated overwrites of one hot object. The
-  // age policy rewrites the live prefix (all copy, no reclaim); the
-  // garbage-ratio policy jumps straight to the overwrite-heavy tail.
-  auto drive = [](CleanerPolicy policy, std::uint64_t seed) {
-    aws::CloudEnv env(seed, aws::ConsistencyConfig::strong());
-    CloudServices services(env);
-    LsbBackendConfig cfg;
-    cfg.compact_trigger_segments = 0;  // manual cleaning only
-    cfg.compact_max_segments = 4;
-    cfg.cleaner_policy = policy;
-    auto backend = std::make_unique<LsbBackend>(services, cfg);
-    for (int i = 0; i < 8; ++i)
-      backend->store(file_unit("cold/f" + std::to_string(i), 1,
-                               std::string(256, 'c')));
-    for (int v = 1; v <= 8; ++v)
-      backend->store(file_unit("hot", v, std::string(256, 'h')));
-    backend->quiesce();
-    const auto before = backend->stats();
-    EXPECT_GT(before.garbage_ratio, 0.0);
-    backend->compact();
-    struct Result {
-      std::uint64_t rewritten;
-      std::uint64_t reclaimed;
-      double garbage_ratio;
-    };
-    return Result{
-        env.metrics().counter("lsb.compact.rewritten_bytes").value(),
-        env.metrics().counter("lsb.compact.reclaimed_bytes").value(),
-        backend->stats().garbage_ratio};
-  };
+  // overwritten objects (segments 1-8), then repeated overwrites of one hot
+  // object (segments 9-16). Victims are picked by garbage ratio, so the
+  // pass jumps straight to the overwrite-heavy tail and never copies the
+  // all-live prefix.
+  aws::CloudEnv env(31, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackendConfig cfg;
+  cfg.compact_trigger_segments = 0;  // manual cleaning only
+  cfg.compact_max_segments = 4;
+  auto backend = std::make_unique<LsbBackend>(services, cfg);
+  constexpr std::uint64_t kColdSegments = 8;
+  for (std::uint64_t i = 0; i < kColdSegments; ++i)
+    backend->store(file_unit("cold/f" + std::to_string(i), 1,
+                             std::string(256, 'c')));
+  for (int v = 1; v <= 8; ++v)
+    backend->store(file_unit("hot", v, std::string(256, 'h')));
+  backend->quiesce();
+  const auto before = backend->stats();
+  ASSERT_GT(before.garbage_ratio, 0.0);
 
-  const auto by_age = drive(CleanerPolicy::kOldestFirst, 31);
-  const auto by_ratio = drive(CleanerPolicy::kGarbageRatio, 31);
-  // Same pass budget (4 victims): the ratio policy copies fewer live bytes
-  // and reclaims more garbage.
-  EXPECT_LT(by_ratio.rewritten, by_age.rewritten)
-      << "ratio=" << by_ratio.rewritten << " age=" << by_age.rewritten;
-  EXPECT_GT(by_ratio.reclaimed, by_age.reclaimed);
-  EXPECT_LT(by_ratio.garbage_ratio, by_age.garbage_ratio);
+  ASSERT_GT(backend->compact(), 0u);
+  for (std::uint64_t id = 1; id <= kColdSegments; ++id)
+    EXPECT_TRUE(services.s3.peek(lsb::kSegmentBucket, lsb::segment_key(id))
+                    .has_value())
+        << "cold segment " << id << " was rewritten";
+  EXPECT_EQ(backend->stats().delete_to, 1u);
+  EXPECT_GT(env.metrics().counter("lsb.compact.reclaimed_bytes").value(), 0u);
+  EXPECT_LT(backend->stats().garbage_ratio, before.garbage_ratio);
 }
 
 TEST(LsbBackendTest, MidLogCompactionKeepsWatermarkBehindSurvivors) {

@@ -12,20 +12,28 @@ using provcloud::util::Md5;
 using provcloud::util::md5_with_nonce;
 
 struct Vector {
+  const char* name;
   const char* input;
   const char* digest;
 };
 
+// Prints the vector's name, so the parameterised test names stay the same
+// from build to build instead of showing the addresses of the strings.
+void PrintTo(const Vector& v, std::ostream* os) { *os << v.name; }
+
 // The canonical RFC 1321 appendix A.5 vectors.
 const Vector kRfcVectors[] = {
-    {"", "d41d8cd98f00b204e9800998ecf8427e"},
-    {"a", "0cc175b9c0f1b6a831c399e269772661"},
-    {"abc", "900150983cd24fb0d6963f7d28e17f72"},
-    {"message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
-    {"abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"},
-    {"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+    {"Empty", "", "d41d8cd98f00b204e9800998ecf8427e"},
+    {"A", "a", "0cc175b9c0f1b6a831c399e269772661"},
+    {"Abc", "abc", "900150983cd24fb0d6963f7d28e17f72"},
+    {"MessageDigest", "message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
+    {"Alphabet", "abcdefghijklmnopqrstuvwxyz",
+     "c3fcd3d76192e4007dfb496cca67e13b"},
+    {"Alphanumeric",
+     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
      "d174ab98d277d9f5a5611c2c9f419d9f"},
-    {"1234567890123456789012345678901234567890123456789012345678901234567890"
+    {"EightyDigits",
+     "1234567890123456789012345678901234567890123456789012345678901234567890"
      "1234567890",
      "57edf4a22be3c955ac49da2e2107b67a"},
 };

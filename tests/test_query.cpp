@@ -78,8 +78,9 @@ struct World {
     backend->quiesce();
     env.clock().drain();
     stats = obs.stats();
-    engine = arch == Architecture::kS3Only ? make_s3_query_engine(services)
-                                           : make_sdb_query_engine(services);
+    engine = arch == Architecture::kS3Only
+                 ? make_s3_query_engine(services)
+                 : make_sdb_query_engine(services, backend->topology());
   }
   aws::CloudEnv env;
   CloudServices services;

@@ -120,8 +120,13 @@ TEST(QueryLangTest, CrossAttributePredicateRejected) {
 }
 
 struct BadExpression {
+  const char* name;
   const char* text;
 };
+
+// Prints the case's name, so the parameterised test names stay the same
+// from build to build instead of showing the address of the text.
+void PrintTo(const BadExpression& e, std::ostream* os) { *os << e.name; }
 
 class QueryLangRejects : public ::testing::TestWithParam<BadExpression> {};
 
@@ -131,12 +136,16 @@ TEST_P(QueryLangRejects, MalformedExpressions) {
 
 INSTANTIATE_TEST_SUITE_P(
     Bad, QueryLangRejects,
-    ::testing::Values(BadExpression{"["}, BadExpression{"[']"},
-                      BadExpression{"['a' ='"}, BadExpression{"['a' 'b']"},
-                      BadExpression{"['a' = 'b'] garbage ['c' = 'd']"},
-                      BadExpression{"['a' = 'b'] union"},
-                      BadExpression{"not"}, BadExpression{"['a' = 'b' and]"},
-                      BadExpression{"hello"}));
+    ::testing::Values(
+        BadExpression{"BareOpenBracket", "["},
+        BadExpression{"UnterminatedName", "[']"},
+        BadExpression{"UnterminatedValue", "['a' ='"},
+        BadExpression{"MissingOperator", "['a' 'b']"},
+        BadExpression{"TrailingGarbage", "['a' = 'b'] garbage ['c' = 'd']"},
+        BadExpression{"DanglingUnion", "['a' = 'b'] union"},
+        BadExpression{"BareNot", "not"},
+        BadExpression{"DanglingAnd", "['a' = 'b' and]"},
+        BadExpression{"NoBrackets", "hello"}));
 
 TEST(QueryLangTest, QuoteEscaping) {
   SdbDomainData d;

@@ -77,13 +77,9 @@ struct ShardedWorld {
     env.clock().drain();
     backend->quiesce();
     env.clock().drain();
-    // Build the engine from the backend's own router: the factory that
-    // keeps query and storage shard layouts in lockstep.
-    const ShardRouter& router =
-        arch == Architecture::kS3SimpleDb
-            ? static_cast<SdbBackend*>(backend.get())->router()
-            : static_cast<WalBackend*>(backend.get())->router();
-    engine = make_sdb_query_engine(services, router);
+    // Build the engine from the backend's own topology: query and storage
+    // share one shard layout.
+    engine = make_sdb_query_engine(services, backend->topology());
   }
   aws::CloudEnv env;
   CloudServices services;

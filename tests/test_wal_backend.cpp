@@ -181,6 +181,10 @@ struct DaemonCrashCase {
   const char* point;
 };
 
+// Prints the crash point, so the parameterised test names stay the same
+// from build to build instead of showing the address of the string.
+void PrintTo(const DaemonCrashCase& c, std::ostream* os) { *os << c.point; }
+
 class WalDaemonCrashTest : public ::testing::TestWithParam<DaemonCrashCase> {};
 
 TEST_P(WalDaemonCrashTest, ReplayAfterDaemonCrashIsIdempotent) {
