@@ -160,7 +160,7 @@ int main() {
   LsbBackend* lsb = nullptr;
   bench::WorkloadRun lsb_run([&](CloudServices& s) {
     LsbBackendConfig cfg;
-    cfg.compact_trigger_segments = 0;  // measure before/after by hand
+    cfg.auto_compact = false;  // measure before/after by hand
     auto backend = std::make_unique<LsbBackend>(s, cfg);
     lsb = backend.get();
     return backend;

@@ -18,6 +18,10 @@ const util::SharedBytes kEmptyBytes = util::make_shared_bytes(util::Bytes{});
 /// closes -- the SimpleDB side of the amortization.
 constexpr std::size_t kValuesPerChunkItem = 8;
 
+/// One cleaner pass reads and rewrites at most this many segment caps of
+/// bytes, which also bounds the decoded victims it holds in memory.
+constexpr std::size_t kCleanerBudgetSegments = 4;
+
 std::uint64_t parse_meta(const aws::SdbItem& item, const char* attr,
                          std::uint64_t fallback) {
   auto it = item.find(attr);
@@ -37,8 +41,6 @@ LsbBackend::LsbBackend(CloudServices& services, LsbBackendConfig config)
                                                     util::kKiB);
   config_.index_publish_entries =
       std::max<std::size_t>(config_.index_publish_entries, 1);
-  config_.compact_max_segments =
-      std::max<std::size_t>(config_.compact_max_segments, 1);
   topology_ = DomainTopology::make(
       TopologyConfig{.shard_count = config_.shard_count,
                      .base_domain = lsb::kIndexDomainBase,
@@ -54,6 +56,7 @@ LsbBackend::LsbBackend(CloudServices& services, LsbBackendConfig config)
   compact_count_ = &metrics.counter("lsb.compactions");
   compact_reclaimed_bytes_ = &metrics.counter("lsb.compact.reclaimed_bytes");
   compact_rewritten_bytes_ = &metrics.counter("lsb.compact.rewritten_bytes");
+  reclaimable_gauge_ = &metrics.gauge("lsb.reclaimable_bytes");
   seal_entries_ = &metrics.histogram("lsb.seal.closes");
 }
 
@@ -162,7 +165,8 @@ void LsbBackend::commit_group(const std::vector<TicketState*>& group,
   }
 
   // Daemon-role maintenance, amortized across the group: checkpoint the
-  // index when enough postings accumulated, clean when enough segments did.
+  // index when enough postings accumulated, clean when enough bytes became
+  // reclaimable.
   bool publish = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -185,13 +189,23 @@ void LsbBackend::index_entry_locked(const pass::ObjectVersion& id,
     if (loc == cur) return;  // idempotent replay
     // The same (object, version) written twice -- a duplicate submit in one
     // group, or out-of-order replay. The later copy in the log wins; the
-    // loser's whole entry is garbage.
+    // loser's whole entry is garbage. A superseded version's data bytes
+    // were already charged where `cur` lives: move that charge to the
+    // winner, so every byte is counted exactly once.
     const bool newer =
         loc.segment > cur.segment ||
         (loc.segment == cur.segment && loc.offset > cur.offset);
-    const lsb::EntryLocation& dead = newer ? cur : loc;
-    segments_[dead.segment].garbage_bytes += dead.length;
-    if (newer) cur = loc;
+    if (!newer) {
+      add_garbage_locked(loc.segment, loc.length);
+      return;
+    }
+    auto latest = latest_.find(id.object);
+    const bool superseded =
+        latest != latest_.end() && latest->second > id.version;
+    add_garbage_locked(cur.segment,
+                       cur.length - (superseded ? cur.data_bytes : 0));
+    if (superseded) add_garbage_locked(loc.segment, loc.data_bytes);
+    cur = loc;
     return;
   }
   auto [latest, first] = latest_.try_emplace(id.object, id.version);
@@ -201,13 +215,21 @@ void LsbBackend::index_entry_locked(const pass::ObjectVersion& id,
     // (only the newest version's data is retrievable, as in Arch 1-3; its
     // provenance records stay live forever).
     auto old = index_.find(pass::ObjectVersion{id.object, latest->second});
-    if (old != index_.end() && old->second.data_bytes > 0)
-      segments_[old->second.segment].garbage_bytes += old->second.data_bytes;
+    if (old != index_.end())
+      add_garbage_locked(old->second.segment, old->second.data_bytes);
     latest->second = id.version;
-  } else if (id.version < latest->second && loc.data_bytes > 0) {
+  } else if (id.version < latest->second) {
     // Indexed behind an already-known newer version (rebuild order).
-    segments_[loc.segment].garbage_bytes += loc.data_bytes;
+    add_garbage_locked(loc.segment, loc.data_bytes);
   }
+}
+
+void LsbBackend::add_garbage_locked(std::uint64_t segment,
+                                    std::uint64_t bytes) {
+  if (bytes == 0) return;
+  segments_[segment].garbage_bytes += bytes;
+  reclaimable_bytes_ += bytes;
+  reclaimable_gauge_->set(static_cast<std::int64_t>(reclaimable_bytes_));
 }
 
 // ---------------------------------------------------------------------------
@@ -381,12 +403,17 @@ void LsbBackend::write_meta(const char* attr, std::uint64_t value) {
 // ---------------------------------------------------------------------------
 
 bool LsbBackend::compact_due_locked() const {
-  return config_.compact_trigger_segments > 0 &&
-         segments_.size() >= config_.compact_trigger_segments;
+  // Below one segment cap of garbage a pass cannot free a segment's worth.
+  return config_.auto_compact &&
+         reclaimable_bytes_ >= config_.segment_cap_bytes;
 }
 
 std::size_t LsbBackend::compact() {
   aws::CloudEnv& env = *services_->env;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (reclaimable_bytes_ == 0) return 0;  // every segment is all-live
+  }
   // Cleaner precondition: every sealed segment checkpointed, so candidates
   // are exactly the indexed (never the open or unpublished) segments.
   publish_index();
@@ -394,36 +421,38 @@ std::size_t LsbBackend::compact() {
   std::vector<std::uint64_t> victims;
   {
     std::lock_guard<std::mutex> lk(mu_);
+    // Garbage-richest first (fewest live bytes copied per byte reclaimed),
+    // ties older-first via stable sort. A segment with no garbage is never
+    // a candidate: copying it reclaims nothing.
     struct Candidate {
       std::uint64_t id;
       double ratio;
+      std::uint64_t cost;  // bytes the pass reads plus bytes it rewrites
     };
     std::vector<Candidate> candidates;
     for (const auto& [id, info] : segments_) {
       if (id < delete_to_) continue;  // crash debris, purged by recover()
       if (id > indexed_to_) break;
-      candidates.push_back(
-          {id, info.bytes == 0 ? 0.0
-                               : static_cast<double>(info.garbage_bytes) /
-                                     static_cast<double>(info.bytes)});
+      if (info.garbage_bytes == 0 || info.bytes == 0) continue;
+      const std::uint64_t garbage = std::min(info.garbage_bytes, info.bytes);
+      candidates.push_back({id,
+                            static_cast<double>(garbage) /
+                                static_cast<double>(info.bytes),
+                            info.bytes + (info.bytes - garbage)});
     }
-    const bool any_garbage =
-        std::any_of(candidates.begin(), candidates.end(),
-                    [](const Candidate& c) { return c.ratio > 0.0; });
-    if (any_garbage) {
-      // Cost/benefit selection: garbage-richest first (ties older-first via
-      // stable sort), and zero-garbage segments are not worth a rewrite
-      // while richer victims exist.
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [](const Candidate& a, const Candidate& b) {
-                         return a.ratio > b.ratio;
-                       });
-      while (!candidates.empty() && candidates.back().ratio <= 0.0)
-        candidates.pop_back();
-    }
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Candidate& a, const Candidate& b) {
+                       return a.ratio > b.ratio;
+                     });
+    // The best victim is always taken, so a pass makes progress whatever
+    // the sizes; the rest join while the pass stays within its budget.
+    const std::uint64_t budget =
+        kCleanerBudgetSegments * config_.segment_cap_bytes;
+    std::uint64_t planned = 0;
     for (const Candidate& c : candidates) {
+      if (!victims.empty() && planned + c.cost > budget) continue;
       victims.push_back(c.id);
-      if (victims.size() >= config_.compact_max_segments) break;
+      planned += c.cost;
     }
     std::sort(victims.begin(), victims.end());
   }
@@ -587,7 +616,14 @@ std::size_t LsbBackend::compact() {
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    for (std::uint64_t id : victims) segments_.erase(id);
+    for (std::uint64_t id : victims) {
+      auto it = segments_.find(id);
+      if (it == segments_.end()) continue;
+      reclaimable_bytes_ -=
+          std::min(reclaimable_bytes_, it->second.garbage_bytes);
+      segments_.erase(it);
+    }
+    reclaimable_gauge_->set(static_cast<std::int64_t>(reclaimable_bytes_));
   }
   env.failures().crash_point("lsb.compact.end");
   compact_count_->add(1);

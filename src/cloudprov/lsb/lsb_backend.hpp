@@ -12,12 +12,13 @@
 // the index, and a crashed seal leaves only an ignorable orphan object.
 //
 // A background cleaner runs in the commit-daemon role (inside commit_group
-// / pump, never a thread of its own): it rewrites the live entries of its
-// victim segments (garbage-richest first, see compact()) into one
-// consolidated segment -- dropping data bytes of superseded file versions,
-// whose records alone stay retrievable, exactly the retention Arch 1-3
-// offer -- republishes their postings, advances the durable delete-to
-// watermark (kivaloo deleteto.c style) and deletes the dead objects.
+// / pump, never a thread of its own) once enough superseded bytes pile up:
+// it rewrites the live entries of its victim segments (garbage-richest
+// first, see compact()) into consolidated segments -- dropping data bytes
+// of superseded file versions, whose records alone stay retrievable,
+// exactly the retention Arch 1-3 offer -- republishes their postings,
+// advances the durable delete-to watermark (kivaloo deleteto.c style) and
+// deletes the dead objects.
 // Ancestry walks are bit-identical before and after.
 #pragma once
 
@@ -40,11 +41,10 @@ struct LsbBackendConfig {
   /// Postings buffered in memory before a SimpleDB index publication (the
   /// LFS checkpoint interval, in closes). quiesce() always drains.
   std::size_t index_publish_entries = 512;
-  /// Live sealed segments before the cleaner consolidates on the write
-  /// path; 0 disables automatic cleaning (compact() still works).
-  std::size_t compact_trigger_segments = 64;
-  /// Most segments one cleaner pass rewrites.
-  std::size_t compact_max_segments = 32;
+  /// Run the cleaner on the write path once the log holds one segment cap
+  /// of reclaimable bytes (superseded data and duplicate entries); false
+  /// leaves cleaning to explicit compact() calls.
+  bool auto_compact = true;
   /// SimpleDB domains the index postings are hashed across.
   std::size_t shard_count = 1;
   /// Concurrent shard requests (index publication, read_many fan-out).
@@ -105,13 +105,13 @@ class LsbBackend final : public ProvenanceBackend {
   /// Force an index publication now (bench/test hook).
   void publish_index();
 
-  /// One cleaner pass over up to `compact_max_segments` victims, picked by
-  /// cost/benefit: the indexed segments with the highest garbage fraction
-  /// first (fewest live bytes copied per byte reclaimed), ties older-first,
-  /// all-live segments skipped while any segment holds garbage. With no
-  /// garbage anywhere it falls back to age order (consolidation still
-  /// relieves segment-count pressure). Returns the number of segments
-  /// reclaimed (0 = nothing eligible).
+  /// One cleaner pass. Only indexed segments holding reclaimable bytes are
+  /// victims -- an all-live segment is never copied -- taken by highest
+  /// garbage fraction first, ties older-first, while the bytes the pass
+  /// reads plus the bytes it rewrites fit four segment caps (the best
+  /// victim is always taken). With nothing reclaimable the pass returns
+  /// before publishing the index or issuing any request. Returns the
+  /// number of segments reclaimed.
   std::size_t compact();
 
   /// Cleaner-effectiveness counters (in-memory view; exact after quiesce).
@@ -142,6 +142,8 @@ class LsbBackend final : public ProvenanceBackend {
   /// bookkeeping. Later copies of the same (object, version) win.
   void index_entry_locked(const pass::ObjectVersion& id,
                           const lsb::EntryLocation& loc);
+  /// Charge `bytes` of `segment` as reclaimable (segment + running total).
+  void add_garbage_locked(std::uint64_t segment, std::uint64_t bytes);
   /// Fetch one close by identity: per-attempt index lookup (compaction may
   /// move it) plus a byte-range GET, retrying propagation races.
   BackendResult<ReadResult> fetch_entry(const pass::ObjectVersion& id,
@@ -172,6 +174,8 @@ class LsbBackend final : public ProvenanceBackend {
   /// Durable-but-unpublished postings, grouped by segment.
   std::map<std::uint64_t, std::vector<lsb::Posting>> pending_postings_;
   std::uint64_t pending_posting_count_ = 0;
+  /// Sum of garbage_bytes over segments_: the cleaner's due check.
+  std::uint64_t reclaimable_bytes_ = 0;
   std::uint64_t next_segment_id_ = 1;
   std::uint64_t indexed_to_ = 0;
   std::uint64_t delete_to_ = 1;
@@ -184,6 +188,7 @@ class LsbBackend final : public ProvenanceBackend {
   obs::Counter* compact_count_ = nullptr;
   obs::Counter* compact_reclaimed_bytes_ = nullptr;
   obs::Counter* compact_rewritten_bytes_ = nullptr;
+  obs::Gauge* reclaimable_gauge_ = nullptr;
   obs::Histogram* seal_entries_ = nullptr;
 };
 

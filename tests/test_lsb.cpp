@@ -17,6 +17,7 @@ using namespace provcloud::pass;
 namespace aws = provcloud::aws;
 namespace sim = provcloud::sim;
 namespace util = provcloud::util;
+namespace obs = provcloud::obs;
 
 FlushUnit file_unit(const std::string& object, std::uint32_t version,
                     const std::string& data,
@@ -284,7 +285,7 @@ TEST(LsbBackendTest, CompactionReclaimsGarbageAndPreservesAncestry) {
   aws::CloudEnv env(28, aws::ConsistencyConfig::strong());
   CloudServices services(env);
   LsbBackendConfig cfg;
-  cfg.compact_trigger_segments = 0;  // manual cleaning only
+  cfg.auto_compact = false;  // manual cleaning only
   auto backend = std::make_unique<LsbBackend>(services, cfg);
 
   // A chain with superseded versions: v1/v2 of "hot" become garbage once
@@ -308,9 +309,8 @@ TEST(LsbBackendTest, CompactionReclaimsGarbageAndPreservesAncestry) {
   const AncestryResult want = fetch_ancestry(*backend, "cold", 1);
   const AncestryResult want_hot = fetch_ancestry(*backend, "hot", 3);
 
-  // Garbage-ratio selection (the default): only the segments holding
-  // superseded copies (hot@1, hot@2) are worth rewriting; the all-live
-  // cold@1 and hot@3 segments are left alone.
+  // Only the segments holding superseded copies (hot@1, hot@2) are worth
+  // rewriting; the all-live cold@1 and hot@3 segments are left alone.
   const std::size_t reclaimed = backend->compact();
   EXPECT_GE(reclaimed, 2u);
 
@@ -347,14 +347,13 @@ TEST(LsbBackendTest, CompactionReclaimsGarbageAndPreservesAncestry) {
 TEST(LsbBackendTest, CleanerSkipsTheAllLiveColdPrefix) {
   // Garbage concentrated in LATE segments: a live prefix of never-
   // overwritten objects (segments 1-8), then repeated overwrites of one hot
-  // object (segments 9-16). Victims are picked by garbage ratio, so the
-  // pass jumps straight to the overwrite-heavy tail and never copies the
-  // all-live prefix.
+  // object (segments 9-16). Only segments with reclaimable bytes are
+  // victims, so the pass jumps straight to the overwrite-heavy tail and
+  // never copies the all-live prefix.
   aws::CloudEnv env(31, aws::ConsistencyConfig::strong());
   CloudServices services(env);
   LsbBackendConfig cfg;
-  cfg.compact_trigger_segments = 0;  // manual cleaning only
-  cfg.compact_max_segments = 4;
+  cfg.auto_compact = false;  // manual cleaning only
   auto backend = std::make_unique<LsbBackend>(services, cfg);
   constexpr std::uint64_t kColdSegments = 8;
   for (std::uint64_t i = 0; i < kColdSegments; ++i)
@@ -380,8 +379,7 @@ TEST(LsbBackendTest, MidLogCompactionKeepsWatermarkBehindSurvivors) {
   aws::CloudEnv env(32, aws::ConsistencyConfig::strong());
   CloudServices services(env);
   LsbBackendConfig cfg;
-  cfg.compact_trigger_segments = 0;
-  cfg.compact_max_segments = 2;
+  cfg.auto_compact = false;
   auto backend = std::make_unique<LsbBackend>(services, cfg);
   // Segment 1: live forever. Segments 2-3: superseded by segment 4.
   backend->store(file_unit("keep", 1, std::string(64, 'k')));
@@ -415,19 +413,146 @@ TEST(LsbBackendTest, AutomaticCleaningTriggersOnTheWritePath) {
   aws::CloudEnv env(29, aws::ConsistencyConfig::strong());
   CloudServices services(env);
   LsbBackendConfig cfg;
-  cfg.compact_trigger_segments = 6;
-  cfg.compact_max_segments = 6;
+  cfg.segment_cap_bytes = 4 * util::kKiB;
   cfg.index_publish_entries = 4;
   auto backend = std::make_unique<LsbBackend>(services, cfg);
+  // Each overwrite supersedes the previous version's 3 KiB of data: the
+  // reclaimable total reaches the trigger (one segment cap) every other
+  // close.
   for (int i = 0; i < 24; ++i)
-    backend->store(file_unit("auto", 1 + i, "x"));
+    backend->store(file_unit("auto", 1 + i, std::string(3 * 1024, 'a' + i)));
   backend->quiesce();
   const auto stats = backend->stats();
+  EXPECT_GT(env.metrics().counter("lsb.compactions").value(), 0u);
   EXPECT_GT(stats.delete_to, 1u);  // the cleaner ran without being asked
-  EXPECT_LE(stats.segment_count, 6u);
+  EXPECT_GT(env.metrics().counter("lsb.compact.reclaimed_bytes").value(), 0u);
+  EXPECT_LT(env.metrics().gauge("lsb.reclaimable_bytes").value(),
+            static_cast<std::int64_t>(cfg.segment_cap_bytes));
   auto got = backend->read("auto");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->version, 24u);
+  EXPECT_EQ(*got->data, std::string(3 * 1024, 'a' + 23));
+}
+
+TEST(LsbBackendTest, AllLiveLogIsNeverRewritten) {
+  // Append-only: no close ever supersedes another, so no segment holds a
+  // reclaimable byte however long the log grows. The cleaner must neither
+  // fire on the write path nor, asked directly, issue a single request --
+  // not even the index publication a pass with victims starts with.
+  aws::CloudEnv env(33, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  auto backend = std::make_unique<LsbBackend>(services);
+  constexpr std::uint64_t kSegments = 160;
+  for (std::uint64_t i = 0; i < kSegments; ++i)
+    backend->store(file_unit("log/f" + std::to_string(i), 1,
+                             std::string(512, 'l')));
+  ASSERT_GT(backend->stats().pending_postings, 0u);
+
+  const sim::MeterSnapshot before = env.meter().snapshot();
+  EXPECT_EQ(backend->compact(), 0u);
+  const sim::MeterSnapshot diff = env.meter().snapshot().diff(before);
+  EXPECT_EQ(diff.calls("s3"), 0u);
+  EXPECT_EQ(diff.calls("sdb"), 0u);
+
+  backend->quiesce();
+  EXPECT_EQ(backend->stats().segment_count, kSegments);
+  EXPECT_EQ(backend->stats().garbage_ratio, 0.0);
+  EXPECT_EQ(env.metrics().counter("lsb.compactions").value(), 0u);
+  EXPECT_EQ(env.metrics().counter("lsb.compact.rewritten_bytes").value(), 0u);
+  EXPECT_EQ(env.metrics().gauge("lsb.reclaimable_bytes").value(), 0);
+}
+
+TEST(LsbBackendTest, ReclaimableBytesCountEachDeadByteOnce) {
+  // A second copy of a superseded version (a replayed close): the first
+  // copy's whole entry is dead, and so are the second copy's data bytes.
+  // Each dead byte is charged once, to the segment it lives in.
+  aws::CloudEnv env(37, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackendConfig cfg;
+  cfg.auto_compact = false;
+  auto backend = std::make_unique<LsbBackend>(services, cfg);
+  const std::string v1(1000, '1');
+  backend->store(file_unit("dup", 1, v1));
+  backend->store(file_unit("dup", 2, "2"));
+  backend->store(file_unit("dup", 1, v1));
+  backend->quiesce();
+  const auto first = services.s3.peek(lsb::kSegmentBucket,
+                                      lsb::segment_key(1));
+  ASSERT_TRUE(first.has_value());
+  const std::uint64_t first_entry =
+      first->data->size() - lsb::segment_header(1).size();
+  const obs::Gauge& reclaimable = env.metrics().gauge("lsb.reclaimable_bytes");
+  EXPECT_EQ(reclaimable.value(),
+            static_cast<std::int64_t>(first_entry + v1.size()));
+
+  // One pass retires both segments holding dead bytes.
+  EXPECT_EQ(backend->compact(), 2u);
+  EXPECT_EQ(reclaimable.value(), 0);
+  EXPECT_EQ(backend->stats().garbage_ratio, 0.0);
+  auto latest = backend->read("dup");
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->version, 2u);
+  auto old_prov = backend->get_provenance("dup", 1);
+  ASSERT_TRUE(old_prov.has_value());
+  EXPECT_FALSE(old_prov->empty());
+}
+
+TEST(LsbBackendTest, CleanerPassStaysWithinItsByteBudget) {
+  aws::CloudEnv env(36, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackendConfig cfg;
+  cfg.auto_compact = false;
+  cfg.segment_cap_bytes = 4 * util::kKiB;  // a pass may move 16 KiB
+  auto backend = std::make_unique<LsbBackend>(services, cfg);
+  // Twenty segments, each one small live object plus a 3 KiB overwrite of
+  // a shared hot object: every victim but the newest is almost all
+  // garbage, so copying it is cheap and reading it is what a pass pays.
+  constexpr int kSegments = 20;
+  for (int i = 0; i < kSegments; ++i) {
+    auto session = backend->open_session(SessionConfig{.max_group = 2});
+    session->submit(file_unit("live" + std::to_string(i), 1,
+                              std::string(64, 'l')));
+    session->submit(file_unit("hot", 1 + i, std::string(3 * 1024, 'h')));
+    ASSERT_TRUE(session->sync().has_value());
+  }
+  backend->quiesce();
+  const obs::Counter& rewritten =
+      env.metrics().counter("lsb.compact.rewritten_bytes");
+  const obs::Counter& reclaimed =
+      env.metrics().counter("lsb.compact.reclaimed_bytes");
+  const obs::Gauge& reclaimable = env.metrics().gauge("lsb.reclaimable_bytes");
+  const auto garbage_of = [](const LsbBackend::SegmentStats& s) {
+    return static_cast<std::int64_t>(s.total_bytes - s.live_bytes);
+  };
+  ASSERT_GT(reclaimable.value(), 0);
+  EXPECT_EQ(reclaimable.value(), garbage_of(backend->stats()));
+
+  int passes = 0;
+  for (;;) {
+    const std::uint64_t rewritten_before = rewritten.value();
+    const std::uint64_t reclaimed_before = reclaimed.value();
+    if (backend->compact() == 0) break;
+    ++passes;
+    // Victims read = reclaimed + rewritten; the budget covers the reads
+    // and the rewrites.
+    const std::uint64_t wrote = rewritten.value() - rewritten_before;
+    const std::uint64_t read = reclaimed.value() - reclaimed_before + wrote;
+    EXPECT_GT(wrote, 0u);
+    EXPECT_LE(read + wrote, 4 * cfg.segment_cap_bytes) << "pass " << passes;
+    EXPECT_EQ(reclaimable.value(), garbage_of(backend->stats()));
+    ASSERT_LT(passes, kSegments);
+  }
+  EXPECT_GT(passes, 1);  // the budget, not the log, bounded each pass
+  EXPECT_EQ(reclaimable.value(), 0);
+  EXPECT_EQ(backend->stats().garbage_ratio, 0.0);
+  for (int i = 0; i < kSegments; ++i) {
+    auto got = backend->read("live" + std::to_string(i));
+    ASSERT_TRUE(got.has_value()) << i;
+    EXPECT_EQ(*got->data, std::string(64, 'l'));
+  }
+  auto hot = backend->read("hot");
+  ASSERT_TRUE(hot.has_value());
+  EXPECT_EQ(hot->version, static_cast<std::uint32_t>(kSegments));
 }
 
 // --- satellite: slow-but-not-crashed S3 on the seal path ---

@@ -24,7 +24,9 @@ every other unit is exact. Comparing:
     thread scheduling).
 
 --record wraps a result into a baseline: the result plus the workload, the
-run arguments, the commit and the toolchain it was measured with.
+run arguments, the commit and the toolchain it was measured with. A commit
+ending in "-dirty" means the result was measured on uncommitted changes
+over that commit.
 """
 import argparse
 import json
@@ -78,6 +80,22 @@ def command_output(argv):
     return out.stdout.strip().splitlines()[0]
 
 
+def commit_id():
+    """HEAD's hash, suffixed "-dirty" when a tracked file other than the
+    BENCH_*.json baselines differs from HEAD: such a result was measured on
+    the working tree, not on the commit it names."""
+    head = command_output(["git", "rev-parse", "HEAD"])
+    if head is None:
+        return "?"
+    try:
+        diff = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--", ".",
+             ":(exclude)BENCH_*.json"], capture_output=True, cwd=ROOT)
+    except OSError:
+        return head
+    return head + "-dirty" if diff.returncode == 1 else head
+
+
 def toolchain():
     cache = os.path.join(ROOT, ".bench_build", "perfbench", "CMakeCache.txt")
     compiler, build_type = "c++", "?"
@@ -103,7 +121,7 @@ def record(args):
         "seconds": args.seconds,
         "command": (f"python3 perfbench/run.py --workload {args.workload} "
                     f"--seed {args.seed} --seconds {args.seconds:g} --trace 0"),
-        "commit": command_output(["git", "rev-parse", "HEAD"]) or "?",
+        "commit": commit_id(),
         "toolchain": toolchain(),
         "result": result,
     }
