@@ -111,7 +111,8 @@ void LsbBackend::commit_group(const std::vector<TicketState*>& group,
     std::size_t run_bytes = 0;
     while (end < closes.size() &&
            (end == start ||
-            run_bytes + closes[end].bytes.size() <= config_.segment_cap_bytes)) {
+            run_bytes + closes[end].bytes.size() <=
+                config_.segment_cap_bytes)) {
       run_bytes += closes[end].bytes.size();
       ++end;
     }
@@ -120,6 +121,7 @@ void LsbBackend::commit_group(const std::vector<TicketState*>& group,
     {
       std::lock_guard<std::mutex> lk(mu_);
       id = next_segment_id_++;
+      unlisted_.insert(id);
     }
     std::string blob = lsb::segment_header(id);
     std::vector<lsb::Posting> postings;
@@ -148,6 +150,7 @@ void LsbBackend::commit_group(const std::vector<TicketState*>& group,
     for (std::size_t i = start; i < end; ++i) closes[i].ticket->done = true;
     {
       std::lock_guard<std::mutex> lk(mu_);
+      unlisted_.erase(id);
       SegmentInfo& info = segments_[id];
       info.bytes = blob.size();
       info.entries = end - start;
@@ -519,6 +522,7 @@ std::size_t LsbBackend::compact() {
     {
       std::lock_guard<std::mutex> lk(mu_);
       id = next_segment_id_++;
+      unlisted_.insert(id);
     }
     std::string blob = lsb::segment_header(id);
     std::vector<lsb::Posting> postings;
@@ -539,6 +543,7 @@ std::size_t LsbBackend::compact() {
     env.failures().crash_point("lsb.compact.after_put");
     {
       std::lock_guard<std::mutex> lk(mu_);
+      unlisted_.erase(id);
       SegmentInfo& info = segments_[id];
       info.bytes = blob.size();
       info.entries = end - start;
@@ -558,9 +563,12 @@ std::size_t LsbBackend::compact() {
   // advance when no concurrent seal left unpublished postings in between.)
   // delete-to may only cover the contiguous dead prefix of the log:
   // garbage-ratio selection can pick mid-log victims, and a watermark past
-  // a surviving segment would let recover() purge live data. Mid-log
-  // victims are still trimmed below -- a crashed trim leaves at worst an
-  // orphan segment whose entries replay as already-superseded duplicates.
+  // a surviving segment would let recover() purge live data. It stops at
+  // the first segment that survives this pass (earlier passes' victims are
+  // already gone from segments_), or at an unlisted id, whose seal may
+  // still land. Mid-log victims are still trimmed below -- a crashed trim
+  // leaves at worst an orphan segment whose entries replay as
+  // already-superseded duplicates.
   std::uint64_t mark_indexed = 0;
   std::uint64_t mark_delete = 0;
   {
@@ -568,14 +576,15 @@ std::size_t LsbBackend::compact() {
     mark_indexed = (pending_postings_.empty() && new_max > 0)
                        ? std::max(indexed_to_, new_max)
                        : indexed_to_;
-    mark_delete = delete_to_;
-    for (const auto& [id, info] : segments_) {
-      if (id < mark_delete) continue;
-      if (std::binary_search(victims.begin(), victims.end(), id))
-        mark_delete = id + 1;
-      else
+    mark_delete = unlisted_.empty() ? next_segment_id_ : *unlisted_.begin();
+    for (auto it = segments_.lower_bound(delete_to_);
+         it != segments_.end() && it->first < mark_delete; ++it) {
+      if (!std::binary_search(victims.begin(), victims.end(), it->first)) {
+        mark_delete = it->first;
         break;
+      }
     }
+    mark_delete = std::max(mark_delete, delete_to_);
   }
   auto put = services_->sdb.put_attributes(
       topology_->domains().front(), lsb::kMetaItem,
@@ -761,6 +770,7 @@ void LsbBackend::replay_orphans() {
     PROVCLOUD_REQUIRE_MSG(seg.has_value() && seg->id == id,
                           "undecodable segment: " + lsb::segment_key(id));
     std::lock_guard<std::mutex> lk(mu_);
+    unlisted_.erase(id);
     SegmentInfo& info = segments_[id];
     info.bytes = got->data->size();
     info.entries = seg->entries.size();

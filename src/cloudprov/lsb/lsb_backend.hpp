@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -177,6 +178,10 @@ class LsbBackend final : public ProvenanceBackend {
   /// Sum of garbage_bytes over segments_: the cleaner's due check.
   std::uint64_t reclaimable_bytes_ = 0;
   std::uint64_t next_segment_id_ = 1;
+  /// Ids handed to a seal or cleaner rewrite whose segment is not yet in
+  /// segments_ (its PUT is in flight, or its writer crashed). delete-to
+  /// never passes one.
+  std::set<std::uint64_t> unlisted_;
   std::uint64_t indexed_to_ = 0;
   std::uint64_t delete_to_ = 1;
   bool hydrated_ = false;

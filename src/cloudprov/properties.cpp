@@ -1,8 +1,8 @@
 #include "cloudprov/properties.hpp"
 
-#include <cstring>
-#include <set>
+#include <functional>
 #include <memory>
+#include <set>
 
 #include "cloudprov/consistency_read.hpp"
 #include "cloudprov/lsb/format.hpp"
@@ -30,48 +30,8 @@ struct Fixture {
   explicit Fixture(Architecture arch, std::uint64_t seed,
                    aws::ConsistencyConfig consistency,
                    const PropertyCheckOptions& options)
-      : env(seed, consistency), services(env) {
-    switch (arch) {
-      case Architecture::kS3Only:
-        backend = make_backend(arch, services);
-        break;
-      case Architecture::kS3SimpleDb: {
-        auto sdb = std::make_unique<SdbBackend>(
-            services, SdbBackendConfig{.shard_count = options.shard_count,
-                                       .parallelism = options.parallelism});
-        topology = sdb->topology();
-        backend = std::move(sdb);
-        break;
-      }
-      case Architecture::kS3SimpleDbSqs: {
-        WalBackendConfig cfg;
-        cfg.shard_count = options.shard_count;
-        cfg.parallelism = options.parallelism;
-        auto wal = std::make_unique<WalBackend>(services, cfg);
-        topology = wal->topology();
-        backend = std::move(wal);
-        break;
-      }
-      case Architecture::kS3SegmentLog: {
-        LsbBackendConfig cfg;
-        cfg.shard_count = options.shard_count;
-        cfg.parallelism = options.parallelism;
-        // Small publish threshold: index publications (and their crash
-        // points) fire inside the workload, not only at quiesce.
-        cfg.index_publish_entries = 8;
-        auto lsb = std::make_unique<LsbBackend>(services, cfg);
-        topology = lsb->topology();
-        backend = std::move(lsb);
-        break;
-      }
-    }
-    // Arch 1 has no SimpleDB layout; check_state's S3 branch ignores the
-    // topology, but keep a valid single-domain one for uniformity.
-    if (topology == nullptr)
-      topology = DomainTopology::make(
-          TopologyConfig{.ledger = &env.latency_ledger()});
-    group_size = options.group_size;
-    flush_deadline = options.flush_deadline;
+      : arch(arch), options(options), env(seed, consistency), services(env) {
+    reopen();
     // Hostile environment: correlated brown-outs and 503 throttle storms
     // across every service the architectures touch. The checks below must
     // reach the same verdicts -- slower, never corrupted.
@@ -88,12 +48,46 @@ struct Fixture {
     }
   }
 
+  /// Build the backend over this world's services with the fixture's own
+  /// config. Called again, it is a client restart after a crash: a fresh
+  /// backend that knows only what the store holds.
+  void reopen() {
+    switch (arch) {
+      case Architecture::kS3Only:
+        backend = make_backend(arch, services);
+        break;
+      case Architecture::kS3SimpleDb:
+        backend = std::make_unique<SdbBackend>(
+            services, SdbBackendConfig{.shard_count = options.shard_count,
+                                       .parallelism = options.parallelism});
+        break;
+      case Architecture::kS3SimpleDbSqs: {
+        WalBackendConfig cfg;
+        cfg.shard_count = options.shard_count;
+        cfg.parallelism = options.parallelism;
+        backend = std::make_unique<WalBackend>(services, cfg);
+        break;
+      }
+      case Architecture::kS3SegmentLog: {
+        LsbBackendConfig cfg;
+        cfg.shard_count = options.shard_count;
+        cfg.parallelism = options.parallelism;
+        // Small publish threshold: index publications (and their crash
+        // points) fire inside the workload, not only at quiesce.
+        cfg.index_publish_entries = 8;
+        backend = std::make_unique<LsbBackend>(services, cfg);
+        break;
+      }
+    }
+  }
+
+  LsbBackend& lsb() { return static_cast<LsbBackend&>(*backend); }
+
+  const Architecture arch;
+  const PropertyCheckOptions options;
   aws::CloudEnv env;
   CloudServices services;
   std::unique_ptr<ProvenanceBackend> backend;
-  std::shared_ptr<const DomainTopology> topology;
-  std::size_t group_size = 1;
-  sim::SimTime flush_deadline = 0;
   // Read-your-writes evidence gathered while driving workloads.
   std::uint64_t ryw_checked = 0;
   std::uint64_t ryw_violations = 0;
@@ -132,14 +126,16 @@ pass::SyscallTrace mini_trace(std::uint64_t seed, std::size_t files) {
                             workloads::synth_environment(rng, 1400)));
   for (std::size_t i = 0; i < std::min<std::size_t>(3, inputs.size()); ++i)
     t.push_back(pass::ev_read(transform, inputs[i]));
-  t.push_back(pass::ev_write(transform, "data/derived0", util::Bytes(256, 'd')));
+  t.push_back(
+      pass::ev_write(transform, "data/derived0", util::Bytes(256, 'd')));
   t.push_back(pass::ev_close(transform, "data/derived0"));
   t.push_back(pass::ev_exit(transform));
 
   t.push_back(pass::ev_exec(aggregate, "/usr/bin/aggregate", {"aggregate"},
                             workloads::synth_environment(rng, 1200)));
   t.push_back(pass::ev_read(aggregate, "data/derived0"));
-  t.push_back(pass::ev_write(aggregate, "data/derived1", util::Bytes(128, 'e')));
+  t.push_back(
+      pass::ev_write(aggregate, "data/derived1", util::Bytes(128, 'e')));
   t.push_back(pass::ev_close(aggregate, "data/derived1"));
   t.push_back(pass::ev_exit(aggregate));
 
@@ -155,20 +151,19 @@ pass::SyscallTrace mini_trace(std::uint64_t seed, std::size_t files) {
 }
 
 /// Run a trace through PASS into the backend via a client session at the
-/// checker's group size. Returns false if an injected crash killed the
-/// client partway -- with group_size > 1 that crash lands mid-group-commit,
-/// which is exactly the scenario the batched-submit sweep must score. With a
+/// checker's group size. An injected crash propagates as CrashError: the
+/// client died partway -- with group_size > 1 mid-group-commit, which is
+/// exactly the scenario the batched-submit sweep must score. With a
 /// flush deadline set, the clock advances half a deadline between closes, so
 /// crashes also land inside deadline-expiry flushes (the commit daemon, not
 /// the submitter, holds the group). Every still-pending close is immediately
 /// read back through the session: read-your-writes says the pending submit
 /// must be observed without waiting for durability.
-bool drive(Fixture& fx, const pass::SyscallTrace& trace,
-           pass::PassObserver* observer_out = nullptr) {
+void drive(Fixture& fx, const pass::SyscallTrace& trace) {
   auto session = fx.backend->open_session(
       SessionConfig{.client_id = "client-0",
-                    .max_group = fx.group_size,
-                    .flush_deadline = fx.flush_deadline});
+                    .max_group = fx.options.group_size,
+                    .flush_deadline = fx.options.flush_deadline});
   pass::PassObserver observer([&fx, &session](const pass::FlushUnit& unit) {
     const Ticket ticket = session->submit(unit);
     if (!ticket.done()) {
@@ -180,21 +175,14 @@ bool drive(Fixture& fx, const pass::SyscallTrace& trace,
            (got->data != nullptr && *got->data == *unit.data));
       if (!observed) ++fx.ryw_violations;
     }
-    if (fx.flush_deadline > 0)
-      fx.env.clock().advance_by(fx.flush_deadline / 2);
+    if (fx.options.flush_deadline > 0)
+      fx.env.clock().advance_by(fx.options.flush_deadline / 2);
   });
-  try {
-    observer.apply_trace(trace);
-    observer.finish();
-    const auto synced = session->sync();
-    PROVCLOUD_REQUIRE_MSG(synced.has_value(),
-                          "session sync failed: " + synced.error().message);
-  } catch (const sim::CrashError&) {
-    if (observer_out != nullptr) *observer_out = std::move(observer);
-    return false;
-  }
-  if (observer_out != nullptr) *observer_out = std::move(observer);
-  return true;
+  observer.apply_trace(trace);
+  observer.finish();
+  const auto synced = session->sync();
+  PROVCLOUD_REQUIRE_MSG(synced.has_value(),
+                        "session sync failed: " + synced.error().message);
 }
 
 /// Let the world settle: all propagation delivered; Arch-3 daemons pumped.
@@ -230,8 +218,9 @@ struct StateViolations {
 /// item lives in its object's hash domain, and peeking only the base
 /// domain would misreport stored provenance as atomicity/orphan
 /// violations.
-StateViolations check_state(Architecture arch, CloudServices& services,
-                            const DomainTopology& topology) {
+StateViolations check_state(Fixture& fx) {
+  const Architecture arch = fx.arch;
+  CloudServices& services = fx.services;
   StateViolations v;
   std::vector<std::string> data_keys;
   for (const std::string& key : services.s3.peek_keys(kDataBucket)) {
@@ -259,6 +248,8 @@ StateViolations check_state(Architecture arch, CloudServices& services,
     return v;
   }
 
+  // Arch 1 has no SimpleDB layout; every other architecture has one.
+  const auto topology = fx.backend->topology();
   if (arch == Architecture::kS3SegmentLog) {
     // The log is the ground truth and data + provenance travel inside one
     // entry, so atomicity can only tear two ways: an undecodable segment
@@ -295,7 +286,7 @@ StateViolations check_state(Architecture arch, CloudServices& services,
 
     std::uint64_t delete_to = 1;
     std::uint64_t indexed_to = 0;
-    if (auto meta = services.sdb.peek_item(topology.domains().front(),
+    if (auto meta = services.sdb.peek_item(topology->domains().front(),
                                            lsb::kMetaItem)) {
       const auto parse = [&meta](const char* attr, std::uint64_t fallback) {
         auto it = meta->find(attr);
@@ -310,7 +301,7 @@ StateViolations check_state(Architecture arch, CloudServices& services,
       delete_to = parse(lsb::kDeleteToAttr, 1);
       indexed_to = parse(lsb::kIndexedToAttr, 0);
     }
-    for (const std::string& domain : topology.domains()) {
+    for (const std::string& domain : topology->domains()) {
       for (const std::string& item : services.sdb.peek_item_names(domain)) {
         std::uint64_t seg = 0;
         std::uint64_t chunk = 0;
@@ -347,7 +338,7 @@ StateViolations check_state(Architecture arch, CloudServices& services,
   // domain's coordinator view.
   std::vector<std::pair<std::string, std::string>> domain_items;
   std::set<std::string> item_set;
-  for (const std::string& domain : topology.domains()) {
+  for (const std::string& domain : topology->domains()) {
     for (std::string& item : services.sdb.peek_item_names(domain)) {
       item_set.insert(item);
       domain_items.emplace_back(domain, std::move(item));
@@ -391,7 +382,7 @@ StateViolations check_state(Architecture arch, CloudServices& services,
     const std::string nonce = nonce_it == obj->metadata.end()
                                   ? nonce_for_version(version)
                                   : nonce_it->second;
-    auto item = services.sdb.peek_item(topology.domain_for_object(key),
+    auto item = services.sdb.peek_item(topology->domain_for_object(key),
                                        item_name(key, version));
     if (!item) {
       ++v.atomicity;
@@ -436,14 +427,66 @@ bool ancestry_equal(const AncestryResult& a, const AncestryResult& b) {
   return true;
 }
 
-/// All crash points the architecture's protocol passes through, discovered
-/// from an uninjected run.
-std::vector<std::string> discover_crash_points(
-    Architecture arch, const PropertyCheckOptions& options) {
-  Fixture fx(arch, options.seed, aggressive_staleness(), options);
-  drive(fx, mini_trace(options.seed, options.mini_files));
-  settle(fx);
-  return fx.env.failures().observed_points();
+/// The invariant a sweep scores after each injected crash. It holds its
+/// own ground truth and returns the violations it finds.
+using SweepCheck = std::function<std::uint64_t(Fixture&)>;
+
+/// One crash-sweep scenario. `prepare` runs uninjected and returns the
+/// invariant check; the armed crash then lands in `steps`, each run under
+/// its own CrashError catch, so a crash in one step still lets the later
+/// ones run (the dead client's backend keeps being driven).
+struct SweepScenario {
+  Architecture arch;
+  std::string prefix;  // crash points swept: those starting with this
+  std::vector<std::uint64_t> occurrences;
+  std::function<SweepCheck(Fixture&)> prepare;
+  std::vector<std::function<void(Fixture&)>> steps;
+};
+
+/// The crash-sweep engine. Discovery runs prepare plus steps once,
+/// uninjected, and keeps the points under the prefix. Then every point x
+/// occurrence gets a fresh fixture (seed + occurrence): prepare, arm, run
+/// the steps, disarm, score the check.
+void run_sweep(const SweepScenario& scenario,
+               const PropertyCheckOptions& options, CrashSweepReport& report) {
+  report.arch = scenario.arch;
+  const auto run_steps = [&scenario](Fixture& fx) {
+    for (const auto& step : scenario.steps) {
+      try {
+        step(fx);
+      } catch (const sim::CrashError&) {
+      }
+    }
+  };
+  {
+    Fixture fx(scenario.arch, options.seed, aggressive_staleness(), options);
+    scenario.prepare(fx);
+    run_steps(fx);
+    for (const std::string& p : fx.env.failures().observed_points())
+      if (util::starts_with(p, scenario.prefix)) report.points.push_back(p);
+  }
+  for (const std::string& point : report.points) {
+    bool fired = false;
+    for (const std::uint64_t occurrence : scenario.occurrences) {
+      Fixture fx(scenario.arch, options.seed + occurrence,
+                 aggressive_staleness(), options);
+      const SweepCheck check = scenario.prepare(fx);
+      sim::FailureInjector& failures = fx.env.failures();
+      // The armed crash is one-shot: it fired iff the point's hit count
+      // reached the armed hit.
+      const std::uint64_t crash_hit = failures.hits(point) + occurrence;
+      failures.arm_crash(point, occurrence);
+      run_steps(fx);
+      failures.disarm(point);
+      ++report.crash_scenarios;
+      if (failures.hits(point) >= crash_hit) {
+        ++report.crashed_runs;
+        fired = true;
+      }
+      report.violations += check(fx);
+    }
+    if (!fired) report.unfired.push_back(point);
+  }
 }
 
 }  // namespace
@@ -451,36 +494,29 @@ std::vector<std::string> discover_crash_points(
 PropertyReport check_properties(Architecture arch,
                                 const PropertyCheckOptions& options) {
   PropertyReport report;
-  report.arch = arch;
 
   // ------------------------------------------------------ crash sweep ----
-  const std::vector<std::string> points = discover_crash_points(arch, options);
-  std::uint64_t atomicity_violations = 0;
-  std::uint64_t causal_violations = 0;
-  for (const std::string& point : points) {
-    for (std::uint64_t occurrence : {std::uint64_t{1}, std::uint64_t{7}}) {
-      Fixture fx(arch, options.seed + occurrence, aggressive_staleness(),
-                 options);
-      fx.env.failures().arm_crash(point, occurrence);
-      const bool completed = drive(fx, mini_trace(options.seed, options.mini_files));
-      settle(fx);
-      // The client is gone, but daemons (Arch 3's commit daemon) are part of
-      // the system and keep running -- settle() pumped them. Remedial
-      // recovery (Arch 2's orphan scan) is deliberately NOT run: Table 1
-      // scores the protocol, not the cleanup.
-      const StateViolations v = check_state(arch, fx.services, *fx.topology);
-      atomicity_violations += v.atomicity;
-      causal_violations += v.causal;
-      report.ryw_checked += fx.ryw_checked;
-      report.ryw_violations += fx.ryw_violations;
-      ++report.crash_scenarios;
-      (void)completed;
-    }
-  }
-  report.atomicity_violations = atomicity_violations;
-  report.causal_violations = causal_violations;
-  report.atomicity = atomicity_violations == 0;
-  report.causal_ordering = causal_violations == 0;
+  // The client is gone, but daemons (Arch 3's commit daemon) are part of the
+  // system and keep running: settle() pumps them with the point still armed.
+  // Remedial recovery (Arch 2's orphan scan) is deliberately NOT run:
+  // Table 1 scores the protocol, not the cleanup.
+  const pass::SyscallTrace trace = mini_trace(options.seed, options.mini_files);
+  const SweepCheck check = [&report](Fixture& fx) {
+    const StateViolations v = check_state(fx);
+    report.atomicity_violations += v.atomicity;
+    report.causal_violations += v.causal;
+    report.ryw_checked += fx.ryw_checked;
+    report.ryw_violations += fx.ryw_violations;
+    return v.atomicity + v.causal;
+  };
+  run_sweep({.arch = arch,
+             .prefix = "",
+             .occurrences = {1, 7},
+             .prepare = [&check](Fixture&) { return check; },
+             .steps = {[&trace](Fixture& fx) { drive(fx, trace); }, settle}},
+            options, report);
+  report.atomicity = report.atomicity_violations == 0;
+  report.causal_ordering = report.causal_violations == 0;
 
   // ------------------------------------------------ consistency hammer ----
   {
@@ -541,7 +577,7 @@ PropertyReport check_properties(Architecture arch,
           arch == Architecture::kS3Only ? make_s3_query_engine(fx.services)
           : arch == Architecture::kS3SegmentLog
               ? make_lsb_query_engine(fx.services)
-              : make_sdb_query_engine(fx.services, fx.topology);
+              : make_sdb_query_engine(fx.services, fx.backend->topology());
       const sim::MeterSnapshot before = fx.env.meter().snapshot();
       engine->q2_outputs_of("/usr/bin/gcc");
       const sim::MeterSnapshot diff =
@@ -569,159 +605,115 @@ std::vector<PropertyReport> check_all_architectures(
           check_properties(Architecture::kS3SegmentLog, options)};
 }
 
-ManifestRollReport check_manifest_roll(Architecture arch,
-                                       const PropertyCheckOptions& options) {
+CrashSweepReport check_manifest_roll(Architecture arch,
+                                     const PropertyCheckOptions& options) {
   PROVCLOUD_REQUIRE_MSG(arch != Architecture::kS3Only,
                         "manifest rolls need a SimpleDB layout");
-  ManifestRollReport report;
-  report.arch = arch;
   // Small blocks so multi-block rolls exist and after_block_put fires more
   // than once -- the sweep then lands crashes both early and mid-sequence.
   const manifest::ManifestWriterConfig roll_cfg{.block_entries = 4};
+  const pass::SyscallTrace trace = mini_trace(options.seed, options.mini_files);
+  const pass::SyscallTrace tail = tail_trace(options.seed);
+  const auto roll = [&roll_cfg](Fixture& fx) {
+    manifest::ManifestWriter writer(fx.services, fx.backend->topology(),
+                                    roll_cfg);
+    return writer.roll();
+  };
 
-  // Discover the roll protocol's crash surface from an uninjected run.
-  std::vector<std::string> points;
-  {
-    Fixture fx(arch, options.seed, aggressive_staleness(), options);
-    drive(fx, mini_trace(options.seed, options.mini_files));
+  const auto prepare = [&](Fixture& fx) -> SweepCheck {
+    drive(fx, trace);
     settle(fx);
-    manifest::ManifestWriter writer(fx.services, fx.topology, roll_cfg);
-    const auto rolled = writer.roll();
-    PROVCLOUD_REQUIRE_MSG(rolled.has_value(), "uninjected roll failed");
-    for (const std::string& p : fx.env.failures().observed_points())
-      if (util::starts_with(p, "manifest.")) points.push_back(p);
-  }
-
-  for (const std::string& point : points) {
-    for (std::uint64_t occurrence : {std::uint64_t{1}, std::uint64_t{2}}) {
-      Fixture fx(arch, options.seed + occurrence, aggressive_staleness(),
-                 options);
-      drive(fx, mini_trace(options.seed, options.mini_files));
+    const auto first = roll(fx);
+    PROVCLOUD_REQUIRE_MSG(first.has_value(), "first roll failed");
+    const std::uint64_t first_id = first->snapshot_id;
+    // The mutable tail lands after snapshot 1.
+    drive(fx, tail);
+    settle(fx);
+    // Ground truth from the pure per-shard SimpleDB scatter walk, taken
+    // before any crash: the live manifest walk must match it afterwards.
+    auto scatter = make_sdb_query_engine(fx.services, fx.backend->topology());
+    return [first_id, want_tail = scatter->ancestry("data/late0", 1),
+            want_frozen = scatter->ancestry("data/derived1", 1)](
+               Fixture& fx) -> std::uint64_t {
       settle(fx);
-      manifest::ManifestWriter writer(fx.services, fx.topology, roll_cfg);
-      const auto first = writer.roll();
-      PROVCLOUD_REQUIRE_MSG(first.has_value(), "first roll failed");
-      const std::uint64_t first_id = first->snapshot_id;
-
-      // The mutable tail lands after snapshot 1.
-      drive(fx, tail_trace(options.seed));
-      settle(fx);
-
-      // Ground truth from the pure per-shard SimpleDB scatter walk, taken
-      // before any crash: the live manifest walk must match it afterwards.
-      auto scatter = make_sdb_query_engine(fx.services, fx.topology);
-      const AncestryResult want_tail = scatter->ancestry("data/late0", 1);
-      const AncestryResult want_frozen = scatter->ancestry("data/derived1", 1);
-
-      fx.env.failures().arm_crash(point, occurrence);
-      bool crashed = false;
-      try {
-        writer.roll();
-      } catch (const sim::CrashError&) {
-        crashed = true;
-      }
-      fx.env.failures().disarm(point);
-      settle(fx);
-      ++report.crash_scenarios;
-      if (crashed) ++report.crashed_rolls;
-
       // The catalog must bind *some* committed snapshot -- never an
       // uncommitted torso, never nothing.
-      manifest::ManifestReader reader(fx.services, fx.topology);
-      if (!reader.open_current() || reader.snapshot_id() < first_id) {
-        ++report.violations;
-        continue;
-      }
-      auto engine = make_manifest_query_engine(fx.services, fx.topology);
+      manifest::ManifestReader reader(fx.services, fx.backend->topology());
+      if (!reader.open_current() || reader.snapshot_id() < first_id) return 1;
+      auto engine =
+          make_manifest_query_engine(fx.services, fx.backend->topology());
+      std::uint64_t violations = 0;
       // The live walk (snapshot + tail fallback) must be bit-identical to
       // the scatter walk regardless of where the roll died.
       if (!ancestry_equal(engine->ancestry("data/late0", 1), want_tail))
-        ++report.violations;
+        ++violations;
       // The pre-crash snapshot must keep serving complete, correct
       // time-travel ancestry: nothing lost, nothing duplicated.
       const AncestryResult as_of =
           engine->ancestry_as_of(first_id, "data/derived1", 1);
       if (!as_of.missing.empty() || !ancestry_equal(as_of, want_frozen))
-        ++report.violations;
-    }
-  }
+        ++violations;
+      return violations;
+    };
+  };
+
+  CrashSweepReport report;
+  run_sweep({.arch = arch,
+             .prefix = "manifest.",
+             .occurrences = {1, 2},
+             .prepare = prepare,
+             .steps = {[&roll](Fixture& fx) { roll(fx); }}},
+            options, report);
   return report;
 }
 
-LsbCrashReport check_lsb_crash_sweep(const PropertyCheckOptions& options) {
-  constexpr Architecture arch = Architecture::kS3SegmentLog;
-  LsbCrashReport report;
+CrashSweepReport check_lsb_crash_sweep(const PropertyCheckOptions& options) {
+  const pass::SyscallTrace trace = mini_trace(options.seed, options.mini_files);
+  const pass::SyscallTrace tail = tail_trace(options.seed);
 
-  // Discover the lsb.* crash surface (seal, index publication, cleaner)
-  // from an uninjected run that exercises all three phases.
-  std::vector<std::string> points;
-  {
-    Fixture fx(arch, options.seed, aggressive_staleness(), options);
-    drive(fx, mini_trace(options.seed, options.mini_files));
+  // Base workload, fully settled and checkpointed: committed ground truth
+  // the crash must never touch.
+  const auto prepare = [&trace](Fixture& fx) -> SweepCheck {
+    drive(fx, trace);
     settle(fx);
-    auto* lsb = static_cast<LsbBackend*>(fx.backend.get());
-    drive(fx, tail_trace(options.seed));
-    settle(fx);
-    lsb->publish_index();
-    lsb->compact();
-    for (const std::string& p : fx.env.failures().observed_points())
-      if (util::starts_with(p, "lsb.")) points.push_back(p);
-  }
-
-  for (const std::string& point : points) {
-    for (std::uint64_t occurrence : {std::uint64_t{1}, std::uint64_t{2}}) {
-      Fixture fx(arch, options.seed + occurrence, aggressive_staleness(),
-                 options);
-      // Base workload, fully settled and checkpointed: committed ground
-      // truth the crash must never touch.
-      drive(fx, mini_trace(options.seed, options.mini_files));
-      settle(fx);
-      auto* lsb = static_cast<LsbBackend*>(fx.backend.get());
-      lsb->publish_index();
-      // Ground truth from an object the injected phase never touches:
-      // the tail trace re-flushes data/derived1@1 (its observer saw only
-      // the read), and a re-stored (object, version) replaces the record
-      // set -- by design, on every architecture -- so derived1 itself is
-      // not crash-invariant. Its ancestor derived0 is.
-      const AncestryResult want = fetch_ancestry(*fx.backend, "data/derived0", 1);
-
-      // The injected phase: more closes, a publication, a cleaner pass.
-      fx.env.failures().arm_crash(point, occurrence);
-      bool crashed = !drive(fx, tail_trace(options.seed));
-      try {
-        lsb->publish_index();
-      } catch (const sim::CrashError&) {
-        crashed = true;
-      }
-      try {
-        lsb->compact();
-      } catch (const sim::CrashError&) {
-        crashed = true;
-      }
-      fx.env.failures().disarm(point);
+    fx.lsb().publish_index();
+    // Ground truth from an object the injected phase never touches: the
+    // tail trace re-flushes data/derived1@1 (its observer saw only the
+    // read), and a re-stored (object, version) replaces the record set --
+    // by design, on every architecture -- so derived1 itself is not
+    // crash-invariant. Its ancestor derived0 is.
+    return [want = fetch_ancestry(*fx.backend, "data/derived0", 1)](
+               Fixture& fx) -> std::uint64_t {
       fx.env.clock().drain();
-      ++report.crash_scenarios;
-      if (crashed) ++report.crashed_runs;
-
       // No torn index, no causal hole in the raw settled state.
-      const StateViolations v = check_state(arch, fx.services, *fx.topology);
-      report.violations += v.atomicity + v.causal;
-
+      const StateViolations v = check_state(fx);
+      std::uint64_t violations = v.atomicity + v.causal;
       // Client restart: a fresh backend over the same store recovers and
-      // must serve the committed closure bit-identically.
-      LsbBackendConfig cfg;
-      cfg.shard_count = options.shard_count;
-      cfg.parallelism = options.parallelism;
-      LsbBackend fresh(fx.services, cfg);
-      fresh.recover();
-      if (!ancestry_equal(fetch_ancestry(fresh, "data/derived0", 1), want))
-        ++report.violations;
-      // And an uninjected cleaner pass must never change query results.
-      fresh.compact();
-      if (!ancestry_equal(fetch_ancestry(fresh, "data/derived0", 1), want))
-        ++report.violations;
-    }
-  }
+      // must serve the committed closure bit-identically ...
+      fx.reopen();
+      fx.backend->recover();
+      if (!ancestry_equal(fetch_ancestry(*fx.backend, "data/derived0", 1),
+                          want))
+        ++violations;
+      // ... and an uninjected cleaner pass must never change query results.
+      fx.lsb().compact();
+      if (!ancestry_equal(fetch_ancestry(*fx.backend, "data/derived0", 1),
+                          want))
+        ++violations;
+      return violations;
+    };
+  };
+
+  // The injected phase: more closes, a publication, a cleaner pass.
+  CrashSweepReport report;
+  run_sweep({.arch = Architecture::kS3SegmentLog,
+             .prefix = "lsb.",
+             .occurrences = {1, 2},
+             .prepare = prepare,
+             .steps = {[&tail](Fixture& fx) { drive(fx, tail); },
+                       [](Fixture& fx) { fx.lsb().publish_index(); },
+                       [](Fixture& fx) { fx.lsb().compact(); }}},
+            options, report);
   return report;
 }
 

@@ -23,6 +23,23 @@
 //   Efficient query -- run Q.2 on a small and a double-size dataset; the
 //                      property holds when query cost grows sublinearly in
 //                      dataset size.
+//
+// Crash sweeps all run through one engine: discover the crash points an
+// uninjected run of the scenario reaches, then arm each point at each
+// occurrence in a fresh world, run the scenario and score its invariant.
+//
+//   check_properties      -- Table 1: every point, occurrences {1, 7};
+//                            atomicity and causal ordering as above.
+//   check_manifest_roll   -- manifest.* in a snapshot roll, {1, 2}: the
+//                            catalog binds a committed snapshot, the prior
+//                            snapshot's time travel stays complete, and
+//                            live walks match the SimpleDB scatter walk.
+//   check_lsb_crash_sweep -- lsb.* in seal, index publication and cleaning,
+//                            {1, 2}: no causal hole and no torn index
+//                            (every durable posting between the watermarks
+//                            resolves), and a restarted backend walks
+//                            committed ancestry as before the crash, also
+//                            after an uninjected cleaner pass.
 #pragma once
 
 #include <cstdint>
@@ -33,16 +50,26 @@
 
 namespace provcloud::cloudprov {
 
-struct PropertyReport {
+/// One crash sweep's evidence (see the header comment).
+struct CrashSweepReport {
   Architecture arch = Architecture::kS3Only;
+  std::vector<std::string> points;   // discovered, in first-hit order
+  std::vector<std::string> unfired;  // armed, but fired at no occurrence
+  std::uint64_t crash_scenarios = 0;  // point x occurrence runs
+  std::uint64_t crashed_runs = 0;     // runs where the armed crash fired
+  std::uint64_t violations = 0;
 
+  bool crash_safe() const { return crash_scenarios > 0 && violations == 0; }
+};
+
+/// One row of Table 1; the inherited evidence is its crash sweep's.
+struct PropertyReport : CrashSweepReport {
   bool atomicity = false;
   bool consistency = false;
   bool causal_ordering = false;
   bool efficient_query = false;
 
   // Evidence.
-  std::uint64_t crash_scenarios = 0;
   std::uint64_t atomicity_violations = 0;
   std::uint64_t causal_violations = 0;
   std::uint64_t reads_checked = 0;
@@ -57,7 +84,8 @@ struct PropertyReport {
   double query_growth = 0.0;  // ops_large / ops_small
 
   bool matches(const ProvenanceBackend::PropertyClaims& claims) const {
-    return atomicity == claims.atomicity && consistency == claims.consistency &&
+    return atomicity == claims.atomicity &&
+           consistency == claims.consistency &&
            causal_ordering == claims.causal_ordering &&
            efficient_query == claims.efficient_query;
   }
@@ -106,43 +134,14 @@ PropertyReport check_properties(Architecture arch,
 std::vector<PropertyReport> check_all_architectures(
     const PropertyCheckOptions& options = {});
 
-/// Crash-sweep verdict for the manifest-roll protocol (the snapshot read
-/// path's commit sequence: block PUTs, list PUT, history row, pointer
-/// swap). Every discovered manifest.* crash point is swept; after each
-/// injected crash the catalog must still bind a committed snapshot, the
-/// previous snapshot must keep serving complete, correct time-travel
-/// ancestry, and live manifest-path walks must stay bit-identical to the
-/// pure SimpleDB scatter walk.
-struct ManifestRollReport {
-  Architecture arch = Architecture::kS3SimpleDb;
-  std::uint64_t crash_scenarios = 0;
-  std::uint64_t crashed_rolls = 0;  // scenarios where the armed crash fired
-  std::uint64_t violations = 0;     // lost/duplicated/diverging provenance
+/// The manifest-roll crash sweep (see the header comment). Requires a
+/// SimpleDB architecture (Arch 2 or 3): rolls snapshot the provenance
+/// index, which Architecture 1 does not have.
+CrashSweepReport check_manifest_roll(Architecture arch,
+                                     const PropertyCheckOptions& options = {});
 
-  bool crash_safe() const { return crash_scenarios > 0 && violations == 0; }
-};
-
-/// Requires a SimpleDB architecture (Arch 2 or 3): rolls snapshot the
-/// provenance index, which Architecture 1 does not have.
-ManifestRollReport check_manifest_roll(Architecture arch,
-                                       const PropertyCheckOptions& options = {});
-
-/// Crash-sweep verdict for the Arch-4 segment log. Every discovered lsb.*
-/// crash point (seal, index publication, cleaner) is swept; after each
-/// injected crash a FRESH backend recovers over the same store (client
-/// restart) and must: serve every committed close, expose no torn index
-/// (every durable posting between the watermarks resolves to a matching
-/// entry in an existing segment), and -- after a subsequent uninjected
-/// cleaner pass -- answer ancestry walks bit-identically to the pre-crash
-/// ground truth.
-struct LsbCrashReport {
-  std::uint64_t crash_scenarios = 0;
-  std::uint64_t crashed_runs = 0;  // scenarios where the armed crash fired
-  std::uint64_t violations = 0;
-
-  bool crash_safe() const { return crash_scenarios > 0 && violations == 0; }
-};
-
-LsbCrashReport check_lsb_crash_sweep(const PropertyCheckOptions& options = {});
+/// The Arch-4 segment-log crash sweep (see the header comment).
+CrashSweepReport check_lsb_crash_sweep(
+    const PropertyCheckOptions& options = {});
 
 }  // namespace provcloud::cloudprov

@@ -64,9 +64,10 @@ SyscallTrace random_trace(util::Rng& rng, std::size_t events) {
       case 0:
       case 1: {
         const std::string f = some_file();
-        t.push_back(ev_write(pid, f, util::Bytes(1 + rng.next_below(256),
-                                                 static_cast<char>(
-                                                     'a' + rng.next_below(26)))));
+        t.push_back(ev_write(
+            pid, f,
+            util::Bytes(1 + rng.next_below(256),
+                        static_cast<char>('a' + rng.next_below(26)))));
         if (rng.next_bool(0.7)) t.push_back(ev_close(pid, f));
         break;
       }
@@ -161,7 +162,8 @@ TEST_P(FuzzTrace, AllArchitecturesServeGroundTruth) {
       auto got = backend->read(object, 200);
       ASSERT_TRUE(got.has_value()) << to_string(arch) << " " << object;
       EXPECT_TRUE(got->verified) << to_string(arch) << " " << object;
-      EXPECT_EQ(got->version, unit->version) << to_string(arch) << " " << object;
+      EXPECT_EQ(got->version, unit->version)
+          << to_string(arch) << " " << object;
       EXPECT_EQ(*got->data, *unit->data) << to_string(arch) << " " << object;
     }
   }
@@ -173,11 +175,13 @@ TEST_P(FuzzTrace, WalSurvivesRandomCrash) {
   // matched via MD5+nonce for every file object).
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 5);
   const std::vector<std::string> points = {
-      "wal.store.after_begin",    "wal.store.after_temp_put",
-      "wal.store.mid_records",    "wal.store.before_commit",
-      "wal.store.after_commit",   "commitd.after_receive",
+      "wal.store.begin",          "wal.store.after_begin",
+      "wal.store.after_temp_put", "wal.store.mid_records",
+      "wal.store.before_commit",  "wal.store.after_commit",
+      "commitd.begin",            "commitd.after_receive",
       "commitd.after_copy",       "commitd.after_sdb",
-      "commitd.mid_message_delete"};
+      "commitd.mid_message_delete", "commitd.before_temp_delete",
+      "commitd.after_txn"};
   aws::CloudEnv env(static_cast<std::uint64_t>(GetParam()),
                     aws::ConsistencyConfig::strong());
   CloudServices services(env);

@@ -409,6 +409,78 @@ TEST(LsbBackendTest, MidLogCompactionKeepsWatermarkBehindSurvivors) {
   EXPECT_EQ(again->version, 1u);
 }
 
+TEST(LsbBackendTest, DeleteToReachesTheFirstSurvivorPastEarlierPasses) {
+  aws::CloudEnv env(33, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackendConfig cfg;
+  cfg.auto_compact = false;
+  auto backend = std::make_unique<LsbBackend>(services, cfg);
+  // One segment per store: 1 = low@1, 2 = mid@1, 3 = mid@2, 4 = keep@1.
+  backend->store(file_unit("low", 1, std::string(512, 'l')));
+  backend->store(file_unit("mid", 1, std::string(512, 'm')));
+  backend->store(file_unit("mid", 2, std::string(64, 'n')));
+  backend->store(file_unit("keep", 1, std::string(64, 'k')));
+  backend->quiesce();
+  // Pass 1 retires segment 2 only; segment 1 is all-live and survives.
+  ASSERT_EQ(backend->compact(), 1u);
+  EXPECT_EQ(backend->stats().delete_to, 1u);
+
+  // Superseding low@1 makes segment 1 garbage; pass 2 retires it, below
+  // the segment pass 1 already retired. Segment 3 is the first survivor.
+  backend->store(file_unit("low", 2, std::string(64, 'o')));
+  backend->quiesce();
+  ASSERT_EQ(backend->compact(), 1u);
+  std::uint64_t first_survivor = 0;
+  for (const std::string& key : services.s3.peek_keys(lsb::kSegmentBucket)) {
+    std::uint64_t id = 0;
+    if (lsb::parse_segment_key(key, id) &&
+        (first_survivor == 0 || id < first_survivor))
+      first_survivor = id;
+  }
+  EXPECT_EQ(first_survivor, 3u);
+  EXPECT_EQ(backend->stats().delete_to, first_survivor);
+
+  // A fresh backend over the store purges nothing a survivor needs.
+  auto fresh = make_lsb_backend(services);
+  fresh->recover();
+  for (const auto& [object, version] :
+       {std::pair<std::string, std::uint32_t>{"low", 2},
+        {"mid", 2},
+        {"keep", 1}}) {
+    auto got = fresh->read(object);
+    ASSERT_TRUE(got.has_value()) << object;
+    EXPECT_EQ(got->version, version) << object;
+  }
+}
+
+TEST(LsbBackendTest, DeleteToNeverPassesAnUnlistedSeal) {
+  // A seal takes its id before its PUT and lists the segment after it. An
+  // id taken but never listed -- the PUT still in flight, or, as here, the
+  // writer crashed after it landed -- bounds delete-to: recover() must
+  // replay that segment, not purge it.
+  aws::CloudEnv env(34, aws::ConsistencyConfig::strong());
+  CloudServices services(env);
+  LsbBackendConfig cfg;
+  cfg.auto_compact = false;
+  auto backend = std::make_unique<LsbBackend>(services, cfg);
+  backend->store(file_unit("a", 1, std::string(512, 'a')));  // segment 1
+  backend->store(file_unit("b", 1, std::string(512, 'b')));  // segment 2
+  env.failures().arm_crash("lsb.seal.after_put");
+  EXPECT_THROW(backend->store(file_unit("c", 1, std::string(64, 'c'))),
+               sim::CrashError);  // segment 3: durable, never listed
+  backend->store(file_unit("a", 2, std::string(64, 'A')));  // segment 4
+  backend->store(file_unit("b", 2, std::string(64, 'B')));  // segment 5
+  backend->quiesce();
+  ASSERT_EQ(backend->compact(), 2u);  // segments 1 and 2
+  EXPECT_EQ(backend->stats().delete_to, 3u);
+
+  auto fresh = make_lsb_backend(services);
+  fresh->recover();
+  auto got = fresh->read("c");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->version, 1u);
+}
+
 TEST(LsbBackendTest, AutomaticCleaningTriggersOnTheWritePath) {
   aws::CloudEnv env(29, aws::ConsistencyConfig::strong());
   CloudServices services(env);

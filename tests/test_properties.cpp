@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "cloudprov/lsb/lsb_backend.hpp"
+#include "cloudprov/manifest/writer.hpp"
 #include "cloudprov/properties.hpp"
+#include "pass/observer.hpp"
 
 namespace {
 
@@ -21,6 +27,53 @@ PropertyCheckOptions fast_options() {
   if (const char* env = std::getenv("PROVCLOUD_PROPERTIES_GROUP_SIZE"))
     o.group_size = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
   return o;
+}
+
+constexpr Architecture kAllArchitectures[] = {
+    Architecture::kS3Only, Architecture::kS3SimpleDb,
+    Architecture::kS3SimpleDbSqs, Architecture::kS3SegmentLog};
+
+/// Crash points an uninjected run reaches when every backend performs
+/// every operation it has: stores with a version bump, a read, a daemon
+/// pump, quiesce, recovery, a manifest roll and a cleaner pass.
+std::set<std::string> points_reached_by_every_operation() {
+  namespace pass = provcloud::pass;
+  using provcloud::util::Bytes;
+  const pass::SyscallTrace trace = {
+      pass::ev_exec(1, "/bin/gen"),
+      pass::ev_write(1, "a", Bytes(600, 'a')),
+      pass::ev_close(1, "a"),
+      pass::ev_read(1, "a"),
+      pass::ev_write(1, "b", Bytes(64, 'b')),
+      pass::ev_close(1, "b"),
+      pass::ev_write(1, "a", Bytes(64, 'c')),  // a version bump
+      pass::ev_close(1, "a"),
+      pass::ev_exit(1)};
+  std::set<std::string> reached;
+  for (const Architecture arch : kAllArchitectures) {
+    provcloud::aws::CloudEnv env(3);
+    CloudServices services(env);
+    auto backend = make_backend(arch, services);
+    pass::PassObserver observer(
+        [&backend](const pass::FlushUnit& unit) { backend->store(unit); });
+    observer.apply_trace(trace);
+    observer.finish();
+    backend->pump();
+    backend->quiesce();
+    backend->recover();
+    EXPECT_TRUE(backend->read("a").has_value()) << to_string(arch);
+    if (arch == Architecture::kS3SimpleDb ||
+        arch == Architecture::kS3SimpleDbSqs) {
+      EXPECT_TRUE(
+          manifest::ManifestWriter(services, backend->topology()).roll());
+    }
+    if (arch == Architecture::kS3SegmentLog) {
+      EXPECT_GT(static_cast<LsbBackend&>(*backend).compact(), 0u);
+    }
+    const auto& observed = env.failures().observed_points();
+    reached.insert(observed.begin(), observed.end());
+  }
+  return reached;
 }
 
 class TableOneRow : public ::testing::TestWithParam<Architecture> {};
@@ -41,10 +94,12 @@ TEST_P(TableOneRow, MeasuredPropertiesMatchPaperClaims) {
   EXPECT_EQ(report.causal_ordering, claims.causal_ordering)
       << "causal violations: " << report.causal_violations;
   EXPECT_EQ(report.efficient_query, claims.efficient_query)
-      << "query growth " << report.query_growth << " (" << report.query_ops_small
-      << " -> " << report.query_ops_large << " ops)";
+      << "query growth " << report.query_growth << " ("
+      << report.query_ops_small << " -> " << report.query_ops_large
+      << " ops)";
   EXPECT_TRUE(report.matches(claims));
   EXPECT_GT(report.crash_scenarios, 4u);
+  EXPECT_GT(report.crashed_runs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchitectures, TableOneRow,
@@ -55,7 +110,8 @@ INSTANTIATE_TEST_SUITE_P(AllArchitectures, TableOneRow,
                          [](const auto& info) {
                            switch (info.param) {
                              case Architecture::kS3Only: return "S3";
-                             case Architecture::kS3SimpleDb: return "S3SimpleDB";
+                             case Architecture::kS3SimpleDb:
+                               return "S3SimpleDB";
                              case Architecture::kS3SimpleDbSqs:
                                return "S3SimpleDBSQS";
                              case Architecture::kS3SegmentLog:
@@ -261,7 +317,7 @@ TEST(TableOneTest, LsbCrashSweepIsCrashSafe) {
   // and mid-compaction must never tear the index or lose a committed
   // close, and an uninjected cleaner pass after recovery must leave
   // ancestry walks bit-identical.
-  const LsbCrashReport report = check_lsb_crash_sweep(fast_options());
+  const CrashSweepReport report = check_lsb_crash_sweep(fast_options());
   EXPECT_GT(report.crash_scenarios, 8u);
   EXPECT_GT(report.crashed_runs, 0u);
   EXPECT_EQ(report.violations, 0u);
@@ -271,9 +327,58 @@ TEST(TableOneTest, LsbCrashSweepIsCrashSafe) {
 TEST(TableOneTest, LsbCrashSweepSurvivesGroupedSubmits) {
   PropertyCheckOptions o = fast_options();
   o.group_size = 8;
-  const LsbCrashReport report = check_lsb_crash_sweep(o);
+  const CrashSweepReport report = check_lsb_crash_sweep(o);
   EXPECT_TRUE(report.crash_safe()) << report.violations << " violations in "
                                    << report.crash_scenarios << " scenarios";
+}
+
+TEST(TableOneTest, EveryCrashPointIsArmedAndFired) {
+  // Every crash point the protocols register. A point the sweeps never
+  // reach, or reach but never crash, is an untested protocol step: adding
+  // one to the code fails here until a sweep covers it.
+  const std::set<std::string> registered = {
+      "s3.store.begin", "s3.store.before_put", "s3.store.after_put",
+      "s3.store.after_overflow_put",
+      "sdb.store.begin", "sdb.store.mid_putattrs",
+      "sdb.store.between_prov_and_data", "sdb.store.after_data",
+      "sdb.store.after_overflow_put",
+      "wal.store.begin", "wal.store.after_begin", "wal.store.after_temp_put",
+      "wal.store.mid_records", "wal.store.before_commit",
+      "wal.store.after_commit",
+      "commitd.begin", "commitd.after_receive", "commitd.after_copy",
+      "commitd.after_sdb", "commitd.mid_message_delete",
+      "commitd.before_temp_delete", "commitd.after_txn",
+      "manifest.roll.begin", "manifest.roll.after_block_put",
+      "manifest.roll.after_list_put", "manifest.roll.after_history",
+      "manifest.roll.after_commit",
+      "lsb.seal.begin", "lsb.seal.after_put",
+      "lsb.index.begin", "lsb.index.mid_publish", "lsb.index.after_publish",
+      "lsb.index.after_mark",
+      "lsb.compact.begin", "lsb.compact.after_put",
+      "lsb.compact.mid_republish", "lsb.compact.after_watermark",
+      "lsb.compact.mid_delete", "lsb.compact.end"};
+  ASSERT_EQ(registered.size(), 39u);
+
+  std::vector<CrashSweepReport> sweeps;
+  for (const Architecture arch : kAllArchitectures)
+    sweeps.push_back(check_properties(arch, fast_options()));
+  sweeps.push_back(
+      check_manifest_roll(Architecture::kS3SimpleDb, fast_options()));
+  sweeps.push_back(check_lsb_crash_sweep(fast_options()));
+
+  std::set<std::string> discovered;
+  for (const CrashSweepReport& sweep : sweeps) {
+    discovered.insert(sweep.points.begin(), sweep.points.end());
+    for (const std::string& point : sweep.unfired)
+      ADD_FAILURE() << to_string(sweep.arch) << ": " << point
+                    << " was armed but never fired";
+  }
+  EXPECT_EQ(discovered, registered);
+  // A point on a path the sweeps never run is caught when any operation
+  // reaches it.
+  for (const std::string& point : points_reached_by_every_operation())
+    EXPECT_TRUE(registered.contains(point))
+        << point << " is reachable but not registered, so no sweep arms it";
 }
 
 TEST(TableOneTest, VerdictsSurviveBrownoutsAndThrottleStorms) {
